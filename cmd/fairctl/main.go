@@ -13,7 +13,9 @@
 // hand-maintained worker list. A static `-workers` CSV is still
 // accepted, alone or alongside `-listen`. Shard sizes adapt to each
 // worker's measured scenarios/sec, and `watch` renders the live
-// per-shard progress of a running sweep.
+// progress of a running sweep from what every process already serves:
+// /metrics counters, worker /v1/healthz and the open spans in
+// /v1/traces.
 //
 // Usage:
 //
@@ -23,7 +25,6 @@
 //	fairctl status -workers host1:7447,host2:7447
 //	fairctl top -url http://host:7447 [-interval D] [-once]
 //	fairctl trace -server http://host:7447 [-sources CSV] JOB_ID|TRACE_ID
-//	fairctl expand [flags] [spec.json]
 //	fairctl submit -server http://host:7447 [-tenant T] [-name N] [-wait] spec.json
 //	fairctl jobs -server http://host:7447 [-tenant T] [-state S]
 //	fairctl cancel -server http://host:7447 JOB_ID
@@ -40,7 +41,8 @@
 // Run flags:
 //
 //	-listen ADDR         registration listener: workers join via POST
-//	                     /v1/register, progress is served on /v1/progress
+//	                     /v1/register; it also serves /metrics and
+//	                     /v1/traces, which `watch` reads
 //	-workers CSV         static fairnessd base URLs (optional with -listen)
 //	-spec FILE           JSON grid or scenario array (or a positional file)
 //	-backend NAME        backend every worker must run: montecarlo
@@ -57,8 +59,8 @@
 //	-retries N           attempts per work item before the run fails
 //	-progress            print live progress lines to stderr
 //	-trace FILE          write the run's NDJSON trace events — sweep and
-//	                     cluster spans (cluster_start, shard_claim,
-//	                     shard_ack, lease_expiry, worker_quarantine,
+//	                     cluster events (cluster_start, span_start,
+//	                     span_end, lease_expiry, worker_quarantine,
 //	                     cluster_done) — to FILE ("-" = stderr)
 //	-pprof               with -listen: mount net/http/pprof on the
 //	                     coordinator mux (the listener also serves
@@ -138,8 +140,6 @@ func run(args []string) error {
 		return topCmd(args[1:])
 	case "trace":
 		return traceCmd(args[1:])
-	case "expand":
-		return expandCmd(args[1:])
 	case "submit":
 		return submitCmd(args[1:])
 	case "jobs":
@@ -201,7 +201,7 @@ func specPath(specFlag string, fs *flag.FlagSet) (string, error) {
 
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	listen := fs.String("listen", "", "registration listener address (workers self-register via /v1/register)")
+	listen := fs.String("listen", "", "registration listener address (workers self-register via /v1/register; /metrics and /v1/traces feed fairctl watch)")
 	workers := fs.String("workers", "", "static fairnessd worker base URLs (CSV; optional with -listen)")
 	spec := fs.String("spec", "", "JSON grid or scenario-array file")
 	backend := fs.String("backend", "montecarlo", "backend every worker must run: montecarlo, theory, chainsim, arena")
@@ -212,7 +212,7 @@ func runCmd(args []string) error {
 	lease := fs.Duration("lease", 0, "per-shard stream-inactivity lease (0 = 5m)")
 	retries := fs.Int("retries", 0, "attempts per work item before the run fails (0 = default 3)")
 	progress := fs.Bool("progress", false, "print live progress lines to stderr")
-	traceFile := fs.String("trace", "", "write NDJSON trace events (cluster_start, shard_claim, lease_expiry, ...) to FILE (\"-\" = stderr)")
+	traceFile := fs.String("trace", "", "write NDJSON trace events (cluster_start, span_start, lease_expiry, ...) to FILE (\"-\" = stderr)")
 	pprofFlag := fs.Bool("pprof", false, "with -listen: mount net/http/pprof on the coordinator mux")
 	seed := fs.Uint64("seed", 1, "sweep base seed for grid specs")
 	asJSON := fs.Bool("json", false, "print the report as JSON")
@@ -251,7 +251,6 @@ func runCmd(args []string) error {
 		MaxAttempts:     *retries,
 	}
 	var engOpts []fairness.EngineOption
-	var progressFns []func(fairness.ClusterProgress)
 
 	// One registry for the whole run: the engine's sweep/cluster counters
 	// land here and the coordinator's /metrics endpoint serves it.
@@ -267,12 +266,13 @@ func runCmd(args []string) error {
 	}
 	// The run's flight recorder: coordinator-side spans (sweep, gate_wait,
 	// dispatch, merge), served at GET /v1/traces on the -listen mux so
-	// `fairctl trace` can assemble the full tree against the workers'.
+	// `fairctl trace` can assemble the full tree against the workers' and
+	// `fairctl watch` can list the shards in flight.
 	recorder := fairness.NewFlightRecorder(0)
 	engOpts = append(engOpts, fairness.WithTelemetry(metrics, tracer, recorder))
 
 	// -listen: boot the registration listener so workers can join (and
-	// leave) on their own, and serve live run progress for `watch`.
+	// leave) on their own; its /metrics and /v1/traces feed `watch`.
 	if *listen != "" {
 		reg := fairness.NewClusterRegistry(*backend, 0)
 		regSrv := fairness.NewClusterRegistryServer(reg)
@@ -291,21 +291,10 @@ func runCmd(args []string) error {
 		go httpSrv.Serve(ln)
 		defer httpSrv.Close()
 		clusterOpts.Registry = reg
-		progressFns = append(progressFns, regSrv.UpdateProgress)
-		fmt.Fprintf(stderr, "coordinator listening on %s (POST /v1/register to join; GET /v1/progress to watch)\n", ln.Addr())
+		fmt.Fprintf(stderr, "coordinator listening on %s (POST /v1/register to join; GET /metrics and /v1/traces to watch)\n", ln.Addr())
 		if len(pool) == 0 {
 			fmt.Fprintln(stderr, "waiting for workers to register...")
 		}
-	}
-	if *progress {
-		progressFns = append(progressFns, progressPrinter(stderr))
-	}
-	if fns := progressFns; len(fns) > 0 {
-		engOpts = append(engOpts, fairness.WithClusterProgress(func(p fairness.ClusterProgress) {
-			for _, fn := range fns {
-				fn(p)
-			}
-		}))
 	}
 	engOpts = append(engOpts, fairness.WithCluster(clusterOpts))
 
@@ -330,7 +319,12 @@ func runCmd(args []string) error {
 	}
 	eng := fairness.NewEngine(engOpts...)
 
+	stopProgress := func() {}
+	if *progress {
+		stopProgress = progressPrinter(stderr, metrics, recorder)
+	}
 	rep, err := eng.Sweep(ctx, specs)
+	stopProgress()
 	if err != nil {
 		if rep != nil && rep.Partial {
 			fmt.Fprintf(stderr, "cluster run interrupted: %s\n", rep.Summary())
@@ -381,23 +375,92 @@ func traceWriter(path string) (io.Writer, func(), error) {
 	return f, func() { f.Close() }, nil
 }
 
-// progressPrinter renders one throttled progress line per snapshot
-// burst — the -progress stderr ticker.
-func progressPrinter(w io.Writer) func(fairness.ClusterProgress) {
-	var last time.Time
-	return func(p fairness.ClusterProgress) {
-		// Serialised by the cluster's OnProgress contract; throttle to
-		// one line per 500ms plus the final snapshot.
-		if !p.Done && time.Since(last) < 500*time.Millisecond {
-			return
+// progressPrinter prints a progress line to w every 500ms from the
+// run's own registry and recorder — the -progress stderr ticker. The
+// returned stop ends the ticker and prints the final line.
+func progressPrinter(w io.Writer, metrics *fairness.MetricsRegistry, rec *fairness.FlightRecorder) (stop func()) {
+	line := func() {
+		v := newClusterView(metrics.Snapshot(), rec.Open(""), rec.Spans(""))
+		fmt.Fprintf(w, "progress: %s\n", v)
+	}
+	tick := time.NewTicker(500 * time.Millisecond)
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-tick.C:
+				line()
+			case <-quit:
+				return
+			}
 		}
-		last = time.Now()
-		fmt.Fprintf(w, "progress: %d/%d delivered · %d local cache hits · shards %d claimed / %d acked / %d requeued · %d workers\n",
-			p.Delivered, p.Total, p.LocalCacheHits, p.ShardsClaimed, p.ShardsAcked, p.ShardsRequeued, p.Workers)
+	}()
+	return func() {
+		tick.Stop()
+		close(quit)
+		<-exited
+		line()
 	}
 }
 
-// getJSON fetches one JSON document with a bounded timeout.
+// clusterView is a coordinator's progress as its fairness_cluster_*
+// counters and its coordinator spans tell it: the open sweep span
+// carries the run's unique work-item count, open dispatch spans are the
+// shards in flight, and the run is done once its sweep span has ended.
+type clusterView struct {
+	delivered, total, localHits       int
+	claimed, acked, requeued, workers int
+	done                              bool
+	shards                            []fairness.SpanRecord
+}
+
+func newClusterView(series map[string]float64, open, spans []fairness.SpanRecord) clusterView {
+	v := clusterView{
+		delivered: int(series["fairness_cluster_delivered_total"]),
+		localHits: int(series["fairness_cluster_local_cache_hits_total"]),
+		claimed:   int(series["fairness_cluster_shards_claimed_total"]),
+		acked:     int(series["fairness_cluster_shards_acked_total"]),
+		requeued:  int(series["fairness_cluster_shards_requeued_total"]),
+		workers:   int(series["fairness_cluster_workers"]),
+	}
+	running := false
+	for _, s := range open {
+		switch {
+		case s.Service != "coordinator":
+		case s.Name == "sweep":
+			running = true
+			n, _ := strconv.Atoi(s.Attrs["unique"])
+			v.total += n
+		case s.Name == "dispatch":
+			v.shards = append(v.shards, s)
+		}
+	}
+	if running {
+		return v
+	}
+	for _, s := range spans {
+		if s.Service == "coordinator" && s.Name == "sweep" {
+			v.done = true
+			v.total, _ = strconv.Atoi(s.Attrs["unique"])
+		}
+	}
+	return v
+}
+
+func (v clusterView) String() string {
+	return fmt.Sprintf("%d/%d delivered · %d local cache hits · shards %d claimed / %d acked / %d requeued · %d workers",
+		v.delivered, v.total, v.localHits, v.claimed, v.acked, v.requeued, v.workers)
+}
+
+// tracesBody is the part of a GET /v1/traces response fairctl reads.
+type tracesBody struct {
+	Spans []fairness.SpanRecord `json:"spans"`
+	Open  []fairness.SpanRecord `json:"open"`
+}
+
+// getJSON fetches one JSON document with a bounded timeout and size (a
+// full 4096-span /v1/traces body runs past 1 MiB).
 func getJSON(ctx context.Context, url string, v any) error {
 	reqCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -413,12 +476,12 @@ func getJSON(ctx context.Context, url string, v any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(v)
+	return json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(v)
 }
 
-// watchCmd polls coordinator and/or worker /v1/progress endpoints and
-// renders the live shard table — the operator's view of a running
-// distributed sweep.
+// watchCmd polls a coordinator's /metrics and /v1/traces and each
+// worker's /v1/healthz and /v1/traces, and renders the shards in flight
+// — the operator's view of a running distributed sweep.
 func watchCmd(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 	coordinator := fs.String("coordinator", "", "coordinator base URL (fairctl run -listen) to poll for run progress")
@@ -436,11 +499,7 @@ func watchCmd(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 	for {
-		done, err := watchTick(ctx, coord, pool)
-		if err != nil {
-			return err
-		}
-		if *once || done {
+		if done := watchTick(ctx, coord, pool); *once || done {
 			return nil
 		}
 		select {
@@ -452,54 +511,72 @@ func watchCmd(args []string) error {
 }
 
 // watchTick renders one watch frame; it reports true once the
-// coordinator says the run is complete.
-func watchTick(ctx context.Context, coord string, pool []string) (bool, error) {
+// coordinator's sweep span has ended.
+func watchTick(ctx context.Context, coord string, pool []string) bool {
 	now := time.Now().Format("15:04:05")
 	done := false
 	if coord != "" {
-		var p fairness.ClusterProgress
-		if err := getJSON(ctx, coord+"/v1/progress", &p); err != nil {
+		var tr tracesBody
+		series, err := fetchMetrics(ctx, coord+"/metrics")
+		if err == nil {
+			err = getJSON(ctx, coord+"/v1/traces", &tr)
+		}
+		if err != nil {
 			fmt.Fprintf(stdout, "[%s] coordinator %s: %v\n", now, coord, err)
 		} else {
+			v := newClusterView(series, tr.Open, tr.Spans)
 			state := "running"
-			if p.Done {
-				state = "done"
-				done = p.Total > 0
+			if v.done {
+				state, done = "done", true
 			}
-			fmt.Fprintf(stdout, "[%s] coordinator %s: %s · %d/%d delivered · %d local cache hits · shards %d claimed / %d acked / %d requeued · %d workers\n",
-				now, coord, state, p.Delivered, p.Total, p.LocalCacheHits,
-				p.ShardsClaimed, p.ShardsAcked, p.ShardsRequeued, p.Workers)
-			if len(p.Shards) > 0 {
-				tb := table.New("Shard", "Worker", "Scenarios", "Streamed", "State", "Age(s)").
-					AlignAll(table.Right).SetAlign(0, table.Left).SetAlign(1, table.Left).SetAlign(4, table.Left)
-				for _, sh := range p.Shards {
-					tb.AddRow(fmt.Sprintf("%.12s", sh.ID), sh.Worker, fmt.Sprintf("%d", sh.Scenarios),
-						fmt.Sprintf("%d", sh.Streamed), sh.State,
-						fmt.Sprintf("%.1f", float64(sh.AgeMS)/1000))
+			fmt.Fprintf(stdout, "[%s] coordinator %s: %s · %s\n", now, coord, state, v)
+			if len(v.shards) > 0 {
+				tb := table.New("Shard", "Worker", "Scenarios", "Age(s)").
+					AlignAll(table.Right).SetAlign(0, table.Left).SetAlign(1, table.Left)
+				for _, sh := range v.shards {
+					tb.AddRow(fmt.Sprintf("%.12s", sh.Attrs["shard"]), sh.Attrs["worker"],
+						sh.Attrs["scenarios"], fmt.Sprintf("%.1f", sh.DurationMS/1000))
 				}
 				fmt.Fprintln(stdout, tb.String())
 			}
 		}
 	}
-	for _, w := range pool {
-		var p cluster.WorkerProgress
-		if err := getJSON(ctx, w+"/v1/progress", &p); err != nil {
-			fmt.Fprintf(stdout, "[%s] worker %s: %v\n", now, w, err)
+	for _, h := range fairness.ClusterStatus(ctx, pool) {
+		if !h.OK {
+			fmt.Fprintf(stdout, "[%s] worker %s: %s\n", now, h.URL, h.Error)
 			continue
 		}
 		fmt.Fprintf(stdout, "[%s] worker %s: %d in-flight · %d done · %d acked · %d streamed · %.2f scenarios/s\n",
-			now, w, p.ShardsInFlight, p.ShardsDone, p.ShardsAcked, p.OutcomesStreamed, p.ScenariosPerSec)
-		for _, sh := range p.Shards {
-			if sh.State == "claimed" || sh.State == "done" {
-				fmt.Fprintf(stdout, "    shard %.12s: %d/%d streamed, %s, %.1fs\n",
-					sh.ID, sh.Streamed, sh.Scenarios, sh.State, float64(sh.AgeMS)/1000)
+			now, h.URL, h.ShardsInFlight, h.ShardsDone, h.ShardsAcked, h.OutcomesStreamed, h.ScenariosPerSec)
+		var tr tracesBody
+		if err := getJSON(ctx, h.URL+"/v1/traces", &tr); err != nil {
+			fmt.Fprintf(stdout, "    %v\n", err)
+			continue
+		}
+		// An eval span is a claimed shard; once its stream child opens,
+		// outcomes are flowing back.
+		streaming := make(map[string]bool)
+		for _, s := range tr.Open {
+			if s.Name == "stream" {
+				streaming[s.ParentID] = true
 			}
+		}
+		for _, s := range tr.Open {
+			if s.Name != "eval" {
+				continue
+			}
+			state := "claimed"
+			if streaming[s.SpanID] {
+				state = "streaming"
+			}
+			fmt.Fprintf(stdout, "    shard %.12s: %s scenarios, %s, %.1fs\n",
+				s.Attrs["shard"], s.Attrs["scenarios"], state, s.DurationMS/1000)
 		}
 	}
 	if done {
 		fmt.Fprintln(stdout, "run complete")
 	}
-	return done, nil
+	return done
 }
 
 func statusCmd(args []string) error {
@@ -675,9 +752,7 @@ func traceCmd(args []string) error {
 	var spans []fairness.SpanRecord
 	fetched := 0
 	for _, src := range srcs {
-		var resp struct {
-			Spans []fairness.SpanRecord `json:"spans"`
-		}
+		var resp tracesBody
 		if err := getJSON(ctx, src+"/v1/traces?trace_id="+traceID, &resp); err != nil {
 			fmt.Fprintf(stderr, "trace: %s: %v (skipped)\n", src, err)
 			continue
@@ -783,42 +858,6 @@ func fetchMetrics(ctx context.Context, url string) (map[string]float64, error) {
 		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)
 	}
 	return fairness.ParseMetricsText(io.LimitReader(resp.Body, 4<<20))
-}
-
-func expandCmd(args []string) error {
-	fs := flag.NewFlagSet("expand", flag.ContinueOnError)
-	spec := fs.String("spec", "", "JSON grid or scenario-array file")
-	seed := fs.Uint64("seed", 1, "sweep base seed for grid specs")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	path, err := specPath(*spec, fs)
-	if err != nil {
-		return err
-	}
-	specs, err := loadSpecs(path, *seed)
-	if err != nil {
-		return err
-	}
-	type hashed struct {
-		fairness.Scenario
-		Hash string `json:"hash"`
-	}
-	out := make([]hashed, len(specs))
-	for i, s := range specs {
-		h, err := s.Hash()
-		if err != nil {
-			return err
-		}
-		out[i] = hashed{Scenario: s.Normalized(), Hash: h}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s\n", data)
-	fmt.Fprintf(stdout, "expanded %d scenarios\n", len(specs))
-	return nil
 }
 
 // Job-service commands: clients of a fairnessd -jobs daemon's /v1/jobs
@@ -1007,7 +1046,8 @@ fairctl — coordinate fairness-scenario sweeps across fairnessd workers
 commands:
   run -listen ADDR|-workers CSV [flags] spec.json
                                          distribute the sweep, print the report
-  watch -coordinator URL [-workers CSV]  live per-shard progress of a running sweep
+  watch -coordinator URL [-workers CSV]  live progress and in-flight shards of a
+                                         running sweep
   status -workers CSV [-json]            probe every worker's /v1/healthz
   top -url URL [-interval D] [-once]     live fairness_* metrics of one /metrics
                                          endpoint, with counter rates
@@ -1015,7 +1055,6 @@ commands:
                                          assemble one distributed trace from
                                          /v1/traces flight recorders: span tree,
                                          per-stage breakdown, critical path
-  expand [-spec FILE|spec.json] [-seed]  expand the grid, print scenarios + hashes
 
 job-service commands (against fairnessd -jobs):
   submit [-server URL] [-name N] [-tenant T] [-priority P] [-deadline D]

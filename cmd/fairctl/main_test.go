@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	fairness "repro"
 	"repro/internal/cluster"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
@@ -22,13 +24,25 @@ import (
 // protocol — the same handlers fairnessd mounts.
 func startWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{}))
+	return startRunWorker(t, cluster.LocalRunner(sweep.Options{}))
+}
+
+// startRunWorker boots a worker node over run, serving the healthz
+// counters and /v1/traces spans a fairnessd worker serves.
+func startRunWorker(t *testing.T, run cluster.RunFunc) *httptest.Server {
+	t.Helper()
+	rec := fairness.NewFlightRecorder(0)
+	ws := cluster.NewWorkerServer(run)
+	ws.SetTelemetry("montecarlo", nil, rec)
 	mux := http.NewServeMux()
 	ws.Register(mux)
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(rec))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{
 			"status": "ok", "backend": "montecarlo", "cache": "none",
 			"shards_in_flight": ws.InFlight(), "shards_done": ws.Done(),
+			"shards_acked": ws.Acked(), "outcomes_streamed": ws.Streamed(),
+			"scenarios_per_sec": ws.Rate(),
 		})
 	})
 	srv := httptest.NewServer(mux)
@@ -172,50 +186,99 @@ func TestRunListenZeroWorkersCompletesAfterRegistration(t *testing.T) {
 }
 
 func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {
-	// A fake coordinator and a real worker: watch -once must render the
-	// coordinator's shard table and the worker's counters.
-	w := startWorker(t)
-	coordMux := http.NewServeMux()
-	coordMux.HandleFunc("GET /v1/progress", func(wr http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(wr).Encode(cluster.Progress{
-			Total: 24, Delivered: 9, ShardsClaimed: 4, ShardsAcked: 2, Workers: 2,
-			Shards: []cluster.ShardProgress{{
-				ID: "abcdef0123456789", Worker: w.URL, Scenarios: 8,
-				Streamed: 3, State: "streaming", AgeMS: 1500,
-			}},
+	// A live coordinator over two workers, caught mid-run: each worker
+	// streams its shard's first outcome and then holds the rest until
+	// release. watch -once must render the delivered/total count, the
+	// in-flight shards and both workers.
+	release := make(chan struct{})
+	held := func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
+		first := true
+		return cluster.LocalRunner(sweep.Options{})(ctx, specs, func(o sweep.Outcome) {
+			on(o)
+			if first {
+				first = false
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
 		})
-	})
-	coord := httptest.NewServer(coordMux)
-	t.Cleanup(coord.Close)
+	}
+	w1, w2 := startRunWorker(t, held), startRunWorker(t, held)
 
-	out, _, err := capture(t, []string{"watch",
-		"-coordinator", coord.URL, "-workers", w.URL, "-once"})
+	metrics := fairness.NewMetricsRegistry()
+	rec := fairness.NewFlightRecorder(0)
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", fairness.MetricsHandler(metrics))
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(rec))
+	coord := httptest.NewServer(mux)
+	t.Cleanup(coord.Close)
+	specs, err := loadSpecs(writeGrid(t), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"9/24 delivered", "abcdef012345", "streaming", "worker " + w.URL, "scenarios/s",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("watch output missing %q:\n%s", want, out)
+	eng := fairness.NewEngine(
+		fairness.WithCluster(fairness.ClusterOptions{Workers: []string{w1.URL, w2.URL}, ShardSize: 2}),
+		fairness.WithTelemetry(metrics, nil, rec))
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Sweep(context.Background(), specs)
+		runErr <- err
+	}()
+	defer func() {
+		close(release)
+		if err := <-runErr; err != nil {
+			t.Error(err)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for metrics.Snapshot()["fairness_cluster_delivered_total"] < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the two held shards never streamed their first outcomes")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	out, _, err := capture(t, []string{"watch",
+		"-coordinator", coord.URL, "-workers", w1.URL + "," + w2.URL, "-once"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"running · 2/4 delivered", "shards 2 claimed", "2 workers",
+		"worker " + w1.URL + ": 1 in-flight", "worker " + w2.URL + ": 1 in-flight", "2 scenarios, streaming"}
+	for _, s := range rec.Open("") {
+		if s.Name == "dispatch" {
+			want = append(want, fmt.Sprintf("%.12s", s.Attrs["shard"]))
+		}
+	}
+	if len(want) != 8 {
+		t.Fatalf("want two open dispatch spans, checking %q", want)
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Errorf("watch output missing %q:\n%s", w, out)
 		}
 	}
 }
 
 func TestWatchExitsWhenCoordinatorReportsDone(t *testing.T) {
-	coordMux := http.NewServeMux()
-	coordMux.HandleFunc("GET /v1/progress", func(wr http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(wr).Encode(cluster.Progress{Total: 4, Delivered: 4, Done: true})
-	})
-	coord := httptest.NewServer(coordMux)
+	// A coordinator whose sweep span has ended: the run is over.
+	metrics := fairness.NewMetricsRegistry()
+	metrics.Counter("fairness_cluster_delivered_total").Add(4)
+	rec := fairness.NewFlightRecorder(0)
+	fairness.StartSpan(nil, rec, fairness.SpanContext{}, "coordinator", "sweep", "unique", 4).End()
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", fairness.MetricsHandler(metrics))
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(rec))
+	coord := httptest.NewServer(mux)
 	t.Cleanup(coord.Close)
 
-	// No -once: the done snapshot itself must end the loop.
+	// No -once: the ended sweep span itself must end the loop.
 	out, _, err := capture(t, []string{"watch", "-coordinator", coord.URL, "-interval", "10ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "run complete") {
+	if !strings.Contains(out, "done · 4/4 delivered") || !strings.Contains(out, "run complete") {
 		t.Errorf("watch did not announce completion:\n%s", out)
 	}
 }
@@ -242,16 +305,6 @@ func TestStatusReportsWorkers(t *testing.T) {
 	// All workers down is an error exit for scripting.
 	if _, _, err := capture(t, []string{"status", "-workers", "127.0.0.1:1"}); err == nil {
 		t.Error("status with every worker down should fail")
-	}
-}
-
-func TestExpandPrintsHashes(t *testing.T) {
-	out, _, err := capture(t, []string{"expand", writeGrid(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, `"hash"`) || !strings.Contains(out, "expanded 4 scenarios") {
-		t.Errorf("expand output:\n%s", out)
 	}
 }
 

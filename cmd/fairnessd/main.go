@@ -18,16 +18,17 @@
 //	                   shard of scenarios, stream its outcomes as NDJSON,
 //	                   finish with a {"done":true,"shard_id":...} summary.
 //	POST /v1/shard/ack coordinator confirmation that a shard was merged.
-//	GET  /v1/progress  per-shard claimed/streamed/acked progress — the
-//	                   live view `fairctl watch` renders.
 //	GET  /v1/healthz   → {"status":"ok",...} with backend, cache hit/miss
 //	                   counters, shard counters and the measured
 //	                   scenarios/sec — everything a coordinator or load
-//	                   balancer needs for placement.
-//	GET  /v1/traces    flight recorder: recently completed spans (eval/
-//	                   stream per shard, plus job/sweep spans when this
-//	                   daemon runs the job service), filterable with
-//	                   ?trace_id= — what `fairctl trace` reads.
+//	                   balancer needs for placement, and the worker line
+//	                   of `fairctl watch`.
+//	GET  /v1/traces    flight recorder: recently completed spans under
+//	                   "spans" and spans still in flight under "open"
+//	                   (eval/stream per shard, plus job/sweep spans when
+//	                   this daemon runs the job service), filterable with
+//	                   ?trace_id= — what `fairctl trace` and `fairctl
+//	                   watch` read.
 //	GET  /metrics      Prometheus text exposition of the process registry:
 //	                   fairness_sweep_*, fairness_cache_*,
 //	                   fairness_worker_*, fairness_jobs_*,
@@ -102,7 +103,7 @@
 //	curl -s localhost:7447/v1/evaluate -d '{"protocol":"mlpos","stake":0.2}'
 //	curl -sN localhost:7447/v1/sweep -d '{"protocols":["pow","mlpos"],"stake":[0.1,0.2]}'
 //	curl -s localhost:7447/v1/healthz
-//	curl -s localhost:7447/v1/progress
+//	curl -s localhost:7447/v1/traces
 package main
 
 import (
@@ -477,7 +478,7 @@ func (s *server) mux() *http.ServeMux {
 	if s.pprof {
 		telemetry.RegisterPprof(mux)
 	}
-	s.shards.Register(mux) // /v1/shard, /v1/shard/ack, /v1/progress
+	s.shards.Register(mux) // /v1/shard, /v1/shard/ack
 	if s.jobsAPI != nil {
 		s.jobsAPI.Register(mux) // /v1/jobs...
 	}

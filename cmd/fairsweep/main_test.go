@@ -475,3 +475,17 @@ func TestRunNDJSONStream(t *testing.T) {
 		t.Errorf("summary should go to stderr in -ndjson mode:\n%s", errBuf.String())
 	}
 }
+
+func TestRunAdaptiveDiskCacheRepeatIsAllHits(t *testing.T) {
+	// The adaptive evaluator's cache namespace is not a plain file name;
+	// the disk cache must still serve the second pass in full.
+	dir := filepath.Join(t.TempDir(), "cache")
+	buf := capture(t)
+	if err := run([]string{"run", "-adaptive", "-cache-dir", dir, "-repeat", "2",
+		"-protocols", "pow,mlpos", "-stake", "0.2,0.3", "-trials", "200", "-blocks", "300"}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "pass 2: 4 scenarios: 0 computed, 4 cache hits, 0 trials") {
+		t.Errorf("adaptive repeat against -cache-dir recomputed:\n%s", buf.String())
+	}
+}

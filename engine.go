@@ -30,17 +30,16 @@ import (
 // An Engine is safe for concurrent use when its cache and observer are
 // (both shipped CacheStore implementations are).
 type Engine struct {
-	workers         int
-	trialWorkers    int
-	cache           CacheStore
-	backend         Evaluator
-	adaptive        *AdaptiveTrials
-	observer        func(SweepOutcome)
-	cluster         *cluster.Options
-	clusterProgress func(ClusterProgress)
-	metrics         *MetricsRegistry
-	tracer          *Tracer
-	recorder        *FlightRecorder
+	workers      int
+	trialWorkers int
+	cache        CacheStore
+	backend      Evaluator
+	adaptive     *AdaptiveTrials
+	observer     func(SweepOutcome)
+	cluster      *cluster.Options
+	metrics      *MetricsRegistry
+	tracer       *Tracer
+	recorder     *FlightRecorder
 }
 
 // EngineOption configures an Engine.
@@ -121,16 +120,6 @@ func WithCluster(opts ClusterOptions) EngineOption {
 	}
 }
 
-// WithClusterProgress streams a ClusterProgress snapshot to fn after
-// every distributed-run scheduling transition: shard claims, streamed
-// outcomes, acks, requeues and worker-pool changes. Calls are
-// serialised. It only observes cluster-mode sweeps (WithCluster); local
-// runs have no shards to report. When ClusterOptions.OnProgress is also
-// set, both observers are invoked.
-func WithClusterProgress(fn func(ClusterProgress)) EngineOption {
-	return func(e *Engine) { e.clusterProgress = fn }
-}
-
 // WithTelemetry plugs an observability sink into the engine: every run
 // ticks its sweep counters and per-backend latency histograms on m and
 // (in cluster mode) its shard-lifecycle counters too; tr, when non-nil,
@@ -140,10 +129,11 @@ func WithClusterProgress(fn func(ClusterProgress)) EngineOption {
 // registry — what fairnessd and the fairctl coordinator expose at
 // /metrics.
 //
-// An optional third argument — a *FlightRecorder — retains the engine's
-// completed spans (cluster-mode sweep/gate_wait/dispatch/merge) for
-// GET /v1/traces; serve it with TracesHandler. Omitted or nil, spans
-// still propagate (workers parent correctly) but are not retained here.
+// An optional third argument — a *FlightRecorder — holds the engine's
+// spans (cluster-mode sweep/gate_wait/dispatch/merge), open and
+// completed, for GET /v1/traces; serve it with TracesHandler. Omitted or
+// nil, spans still propagate (workers parent correctly) but are not
+// retained here.
 //
 // Without this option every engine still meters itself on a private
 // registry, readable through Engine.Metrics().
@@ -268,14 +258,6 @@ func (e *Engine) runSweep(ctx context.Context, specs []Scenario, onOutcome func(
 	}
 	c.Backend = e.backendName()
 	c.OnOutcome = opts.OnOutcome
-	if e.clusterProgress != nil {
-		if prev := c.OnProgress; prev != nil {
-			fn := e.clusterProgress
-			c.OnProgress = func(p ClusterProgress) { prev(p); fn(p) }
-		} else {
-			c.OnProgress = e.clusterProgress
-		}
-	}
 	return cluster.Run(ctx, specs, c)
 }
 

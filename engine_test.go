@@ -323,21 +323,29 @@ func TestEngineStreamThroughCluster(t *testing.T) {
 	}
 }
 
-func TestEngineWithClusterProgressObserver(t *testing.T) {
-	// WithClusterProgress threads coordinator progress snapshots through
-	// the engine: claims and streamed outcomes are observed live, and
-	// the final snapshot reports the run done with every unique work
-	// item delivered.
+func TestEngineClusterProgressFromCountersAndOpenSpans(t *testing.T) {
+	// A cluster run's live progress is its registry and its recorder's
+	// open spans: from inside the observer the outcome's shard is still
+	// an open dispatch span, and afterwards the counters account for
+	// every unique work item with claims and streams along the way.
 	w1, w2 := startClusterWorker(t), startClusterWorker(t)
 	specs := clusterTestSpecs(t)
+	metrics := NewMetricsRegistry()
+	rec := NewFlightRecorder(0)
 	var mu sync.Mutex
-	var snaps []ClusterProgress
+	openDispatch := 0
 	eng := NewEngine(
 		WithCluster(ClusterOptions{Workers: []string{w1.URL, w2.URL}}),
-		WithClusterProgress(func(p ClusterProgress) {
-			mu.Lock()
-			snaps = append(snaps, p)
-			mu.Unlock()
+		WithTelemetry(metrics, nil, rec),
+		WithObserver(func(SweepOutcome) {
+			for _, s := range rec.Open("") {
+				if s.Name == "dispatch" {
+					mu.Lock()
+					openDispatch++
+					mu.Unlock()
+					return
+				}
+			}
 		}),
 	)
 	if _, err := eng.Sweep(context.Background(), specs); err != nil {
@@ -345,26 +353,22 @@ func TestEngineWithClusterProgressObserver(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(snaps) == 0 {
-		t.Fatal("no progress snapshots observed")
+	if openDispatch == 0 {
+		t.Error("no open dispatch span visible from the outcome observer")
 	}
 	uniq := map[string]bool{}
 	for _, s := range specs {
 		uniq[s.MustHash()] = true
 	}
-	last := snaps[len(snaps)-1]
-	if !last.Done || last.Total != len(uniq) || last.Delivered != len(uniq) {
-		t.Errorf("final snapshot: %+v, want done with %d/%d", last, len(uniq), len(uniq))
+	snap := metrics.Snapshot()
+	if got := snap["fairness_cluster_delivered_total"]; got != float64(len(uniq)) {
+		t.Errorf("delivered = %v, want %d", got, len(uniq))
 	}
-	sawShards := false
-	for _, p := range snaps {
-		if len(p.Shards) > 0 {
-			sawShards = true
-			break
-		}
+	if snap["fairness_cluster_shards_claimed_total"] == 0 || snap["fairness_cluster_outcomes_streamed_total"] == 0 {
+		t.Errorf("counters never saw claims/streams: %v", snap)
 	}
-	if !sawShards || last.ShardsClaimed == 0 || last.OutcomesStreamed == 0 {
-		t.Errorf("progress never surfaced in-flight shards: last=%+v", last)
+	if open := rec.Open(""); len(open) != 0 {
+		t.Errorf("spans still open after the run: %+v", open)
 	}
 }
 

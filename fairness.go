@@ -121,16 +121,10 @@ type (
 	// ClusterOptions.Registry.
 	ClusterRegistry = cluster.Registry
 	// ClusterRegistryServer is the registry's HTTP face: /v1/register,
-	// /v1/deregister, /v1/progress and a coordinator /v1/healthz.
+	// /v1/deregister and a coordinator /v1/healthz.
 	ClusterRegistryServer = cluster.RegistryServer
 	// ClusterMember is one registered worker's membership view.
 	ClusterMember = cluster.Member
-	// ClusterProgress is a coordinator-side snapshot of a distributed
-	// run: totals plus the per-shard claimed/streamed state of
-	// everything in flight. See Engine option WithClusterProgress.
-	ClusterProgress = cluster.Progress
-	// ClusterShardProgress is the live view of one in-flight shard.
-	ClusterShardProgress = cluster.ShardProgress
 	// ClusterRegistrar is the worker-side registration client: register,
 	// heartbeat, deregister on context end (what fairnessd -register
 	// runs).
@@ -258,12 +252,12 @@ type (
 	SpanContext = telemetry.SpanContext
 	// Span is one timed operation in a trace; see StartSpan.
 	Span = telemetry.Span
-	// SpanRecord is one completed span as the flight recorder retains it
-	// and GET /v1/traces serves it.
+	// SpanRecord is one span as the flight recorder holds it and GET
+	// /v1/traces serves it.
 	SpanRecord = telemetry.SpanRecord
-	// FlightRecorder is the bounded in-memory ring of recently completed
-	// spans behind GET /v1/traces; wire one into an Engine with
-	// WithTelemetry and serve it with TracesHandler.
+	// FlightRecorder holds the spans in flight and a bounded ring of
+	// recently completed ones behind GET /v1/traces; wire one into an
+	// Engine with WithTelemetry and serve it with TracesHandler.
 	FlightRecorder = telemetry.FlightRecorder
 	// SpanNode and SpanTree are the assembled causal view of one trace;
 	// see BuildSpanTree.

@@ -6,10 +6,12 @@
 //
 // Layout: `<dir>/<namespace>/<hh>/<hash>` where `hh` is the first two
 // characters of the hash — a conventional fan-out that keeps directories
-// small for large caches. Writes go through a temp file and an atomic
-// rename, so readers never observe a torn entry and concurrent writers of
-// the same key converge on one complete payload. Unreadable or missing
-// entries report as absences, never as errors that could fail a sweep.
+// small for large caches. Each ':'-separated key segment becomes one
+// file name through Segment, so any non-empty segment is a valid key.
+// Writes go through a temp file and an atomic rename, so readers never
+// observe a torn entry and concurrent writers of the same key converge
+// on one complete payload. Unreadable or missing entries report as
+// absences, never as errors that could fail a sweep.
 //
 // The store can be size-capped: SetMaxBytes arms a byte budget and Put
 // evicts least-recently-used entries (atime order) once it is exceeded —
@@ -22,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,7 +32,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrKey reports a key that cannot be mapped onto the disk layout.
+// ErrKey reports a key that cannot be mapped onto the disk layout: one
+// with an empty segment.
 var ErrKey = errors.New("cachestore: invalid key")
 
 // Dir is a content-addressed blob store rooted at one directory. The zero
@@ -87,15 +91,17 @@ func OpenWithMetrics(dir string, m *telemetry.Registry) (*Dir, error) {
 func (d *Dir) Root() string { return d.root }
 
 // path maps a key onto the sharded layout. Keys are one or more
-// path-safe segments joined by ':'; the last segment (the content hash)
-// fans out over its first two characters.
+// non-empty segments joined by ':'; each becomes a file name through
+// Segment, and the last (the content hash) fans out over the first two
+// characters of its name.
 func (d *Dir) path(key string) (string, error) {
 	segs := strings.Split(key, ":")
 	parts := make([]string, 0, len(segs)+1)
 	for i, s := range segs {
-		if s == "" || !pathSafe(s) {
+		if s == "" {
 			return "", fmt.Errorf("%w: %q", ErrKey, key)
 		}
+		s = Segment(s)
 		if i == len(segs)-1 && len(s) > 2 {
 			parts = append(parts, s[:2])
 		}
@@ -104,21 +110,66 @@ func (d *Dir) path(key string) (string, error) {
 	return filepath.Join(append([]string{d.root}, parts...)...), nil
 }
 
-// pathSafe reports whether a key segment is a plain file-name atom:
-// letters, digits, dot, dash, underscore — no separators, no traversal.
-func pathSafe(s string) bool {
-	if s == "." || s == ".." {
+// Segment maps one key segment onto a file name. A plain segment —
+// letters, digits, '.', '-' and '_', not starting with '_', and not "."
+// or ".." — is its own name, so backend names, "t-<tenant>" namespaces
+// and hashes keep their directories. Any other segment becomes '_'
+// followed by the segment with each byte outside [A-Za-z0-9.-] written
+// as '_' and two hex digits. The leading '_' keeps encoded names apart
+// from plain ones and the escapes decode uniquely, so distinct segments
+// never share a name; the result is itself plain to any outer prefix.
+func Segment(s string) string {
+	if plain(s) {
+		return s
+	}
+	var b strings.Builder
+	b.WriteByte('_')
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c != '_' && nameByte(c) {
+			b.WriteByte(c)
+		} else {
+			fmt.Fprintf(&b, "_%02X", c)
+		}
+	}
+	return b.String()
+}
+
+// unsegment inverts Segment.
+func unsegment(name string) string {
+	enc, ok := strings.CutPrefix(name, "_")
+	if !ok {
+		return name
+	}
+	b := make([]byte, 0, len(enc))
+	for i := 0; i < len(enc); i++ {
+		if enc[i] == '_' && i+3 <= len(enc) {
+			if v, err := strconv.ParseUint(enc[i+1:i+3], 16, 8); err == nil {
+				b = append(b, byte(v))
+				i += 2
+				continue
+			}
+		}
+		b = append(b, enc[i])
+	}
+	return string(b)
+}
+
+func plain(s string) bool {
+	if s == "" || s[0] == '_' || s == "." || s == ".." {
 		return false
 	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-		default:
+	for i := 0; i < len(s); i++ {
+		if !nameByte(s[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// nameByte reports whether c may appear verbatim in a file name.
+func nameByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '.' || c == '-' || c == '_'
 }
 
 // Get returns the payload stored under key. A missing or unreadable
@@ -215,6 +266,9 @@ func (d *Dir) Keys() []string {
 		// Drop the two-character fan-out directory preceding the hash.
 		if len(segs) >= 2 && segs[len(segs)-2] == e.Name()[:min(2, len(e.Name()))] {
 			segs = append(segs[:len(segs)-2], segs[len(segs)-1])
+		}
+		for i, seg := range segs {
+			segs[i] = unsegment(seg)
 		}
 		keys = append(keys, strings.Join(segs, ":"))
 		return nil

@@ -125,31 +125,28 @@ type Options struct {
 	// is merged (calls are serialised; order is scheduling-dependent,
 	// exactly like a local sweep's observer).
 	OnOutcome func(sweep.Outcome)
-	// OnProgress, when non-nil, observes a Progress snapshot after every
-	// scheduling transition (claims, streamed outcomes, acks, requeues).
-	// Calls are serialised. fairctl wires this to the coordinator's
-	// /v1/progress endpoint.
-	OnProgress func(Progress)
 	// Metrics, when non-nil, receives the coordinator-side
 	// fairness_cluster_* counters and gauges (shard lifecycle, streamed
-	// outcomes, lease expiries, quarantines, live workers, per-worker
-	// rate EWMAs). Counters are cumulative across runs sharing the
-	// registry; per-run totals stay on Progress. Engine-driven runs
+	// and delivered outcomes, local cache hits, lease expiries,
+	// quarantines, live workers, per-worker rate EWMAs). Counters are
+	// cumulative across runs sharing the registry. Engine-driven runs
 	// inherit the engine's registry automatically.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, receives the scheduling span as NDJSON trace
-	// events: cluster_start, shard_claim, shard_ack, shard_requeue,
-	// lease_expiry, worker_quarantine, cluster_waiting, cluster_done —
-	// plus the paired span_start/span_end events of the run's distributed
-	// trace (sweep, gate_wait, dispatch, merge spans; worker-side eval
-	// spans are parented under dispatch via the X-Fairness-Trace header).
+	// events: cluster_start, lease_expiry, worker_quarantine,
+	// cluster_waiting, cluster_done — plus the paired span_start/span_end
+	// events of the run's distributed trace (sweep, gate_wait, dispatch,
+	// merge spans; worker-side eval spans are parented under dispatch via
+	// the X-Fairness-Trace header).
 	Tracer *telemetry.Tracer
-	// Recorder, when non-nil, retains the run's completed coordinator
-	// spans in a bounded in-memory ring — what GET /v1/traces serves and
-	// `fairctl trace` assembles into a span tree. The run's trace roots
-	// under the span context carried by ctx (telemetry.ContextWithSpan),
-	// so an engine- or job-driven run joins its caller's trace; without
-	// one it mints a fresh trace_id.
+	// Recorder, when non-nil, holds the run's coordinator spans: open
+	// ones while they are in flight, completed ones in a bounded
+	// in-memory ring. GET /v1/traces serves both; `fairctl trace`
+	// assembles the completed ones into a span tree and `fairctl watch`
+	// renders the open ones. The run's trace roots under the span context
+	// carried by ctx (telemetry.ContextWithSpan), so an engine- or
+	// job-driven run joins its caller's trace; without one it mints a
+	// fresh trace_id.
 	Recorder *telemetry.FlightRecorder
 	// Gate, when non-nil, is consulted before every shard is cut: the
 	// worker loop asks for `want` work items and receives permission for
@@ -372,8 +369,7 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 	rep := &sweep.Report{Outcomes: make([]sweep.Outcome, len(specs))}
 	rep.Stats.Scenarios = len(specs)
 
-	tracker := newTracker(len(uniq), opts.OnProgress, func() int { return len(reg.Live()) },
-		opts.Metrics, opts.Tracer)
+	met := newMeters(opts.Metrics)
 	opts.Tracer.Emit("cluster_start",
 		"backend", backend, "scenarios", len(specs), "unique", len(uniq),
 		"registry_mode", registryMode, "static_workers", len(opts.Workers))
@@ -411,6 +407,7 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 			return false
 		}
 		delivered[h] = true
+		met.delivered.Inc()
 		if !hit {
 			computed++
 			if opts.Cache != nil {
@@ -452,11 +449,12 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 		}
 		items = append(items, workItem{hash: h, spec: norm[groups[h][0]]})
 	}
-	tracker.localHits(localHits)
+	met.localHits.Add(int64(localHits))
 
 	if len(items) > 0 {
 		run := clusterRun{
 			backend:      backend,
+			met:          met,
 			span:         runSpan.Context(),
 			labels:       shardLabels(bag),
 			registryMode: registryMode,
@@ -475,8 +473,7 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 			},
 			addTrials: func(n int64) { mu.Lock(); trialsRun += n; mu.Unlock() },
 		}
-		if err := runScheduler(ctx, items, opts, run, reg, tracker); err != nil {
-			tracker.done()
+		if err := runScheduler(ctx, items, opts, run, reg); err != nil {
 			if ctx.Err() != nil {
 				// Partial report, local-sweep cancellation semantics.
 				mu.Lock()
@@ -496,14 +493,14 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 					"backend", backend, "partial", true,
 					"computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
 					"wall_ms", rep.Stats.WallMS)
-				runSpan.End("partial", true, "computed", rep.Stats.Computed)
+				runSpan.End("partial", true, "computed", rep.Stats.Computed,
+					"local_cache_hits", localHits)
 				return rep, ctx.Err()
 			}
 			runSpan.End("error", err.Error())
 			return nil, err
 		}
 	}
-	tracker.done()
 
 	// The merge stage: final aggregation of the streamed outcomes into
 	// the report's statistics. Per-outcome merging happened inline as the
@@ -524,8 +521,31 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 		"local_cache_hits", localHits, "trials_run", rep.Stats.TrialsRun,
 		"wall_ms", rep.Stats.WallMS)
 	runSpan.End("computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
-		"wall_ms", rep.Stats.WallMS)
+		"local_cache_hits", localHits, "wall_ms", rep.Stats.WallMS)
 	return rep, nil
+}
+
+// meters are a run's fairness_cluster_* series. They register when the
+// run starts, so a coordinator still waiting for its first worker
+// already exposes them. A nil registry yields detached handles, so an
+// uninstrumented run pays only uncontended atomic adds.
+type meters struct {
+	claimed, acked, requeued *telemetry.Counter
+	streamed, delivered      *telemetry.Counter
+	localHits                *telemetry.Counter
+	workers                  *telemetry.Gauge
+}
+
+func newMeters(m *telemetry.Registry) *meters {
+	return &meters{
+		claimed:   m.Counter("fairness_cluster_shards_claimed_total"),
+		acked:     m.Counter("fairness_cluster_shards_acked_total"),
+		requeued:  m.Counter("fairness_cluster_shards_requeued_total"),
+		streamed:  m.Counter("fairness_cluster_outcomes_streamed_total"),
+		delivered: m.Counter("fairness_cluster_delivered_total"),
+		localHits: m.Counter("fairness_cluster_local_cache_hits_total"),
+		workers:   m.Gauge("fairness_cluster_workers"),
+	}
 }
 
 // shardLabels extracts the shippable trace baggage (tenant, job) that
@@ -563,6 +583,7 @@ func durationOr(v, def time.Duration) time.Duration {
 // scheduler.
 type clusterRun struct {
 	backend string
+	met     *meters
 	// span is the run's sweep-span context: the parent of every
 	// gate_wait/dispatch span, and (via the X-Fairness-Trace header) of
 	// the workers' eval spans. labels is the shippable baggage (tenant,
@@ -586,10 +607,9 @@ type clusterRun struct {
 // items, one loop per live worker cutting adaptively-sized shards off
 // the head.
 type sched struct {
-	opts    Options
-	run     clusterRun
-	reg     *Registry
-	tracker *tracker
+	opts Options
+	run  clusterRun
+	reg  *Registry
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -621,7 +641,7 @@ func (s *sched) fail(err error) {
 // registers later), and wait until every work item is delivered or the
 // run fails.
 func runScheduler(ctx context.Context, items []workItem, opts Options,
-	run clusterRun, reg *Registry, tracker *tracker) error {
+	run clusterRun, reg *Registry) error {
 	// Seed static workers: drop unreachable ones, reject misconfigured
 	// ones loudly.
 	urls := make([]string, 0, len(opts.Workers))
@@ -652,7 +672,6 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 		opts:     opts,
 		run:      run,
 		reg:      reg,
-		tracker:  tracker,
 		queue:    items,
 		attempts: make(map[string]int, len(items)),
 		loops:    make(map[string]bool),
@@ -742,9 +761,12 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 	return err
 }
 
-// spawnLoops starts a worker loop for every live member without one.
+// spawnLoops starts a worker loop for every live member without one
+// and refreshes the live-worker gauge.
 func (s *sched) spawnLoops() {
-	for _, m := range s.reg.Live() {
+	live := s.reg.Live()
+	s.run.met.workers.Set(float64(len(live)))
+	for _, m := range live {
 		s.mu.Lock()
 		if s.finished || s.failed != nil {
 			s.mu.Unlock()
@@ -845,7 +867,7 @@ func (s *sched) workerLoop(url string) {
 		s.mu.Unlock()
 
 		t := newTask(batch)
-		s.tracker.claim(t.id, url, len(batch))
+		s.run.met.claimed.Inc()
 		// Each claim attempt is its own dispatch span under the run span.
 		// A requeued shard's next attempt mints a fresh dispatch span on
 		// the same trace — retries keep the trace_id, never reuse spans.
@@ -859,7 +881,7 @@ func (s *sched) workerLoop(url string) {
 			s.opts.Metrics.Gauge("fairness_cluster_worker_rate", "worker", url).Set(s.reg.Rate(url))
 			s.run.addTrials(sum.TrialsRun)
 			ackShard(s.run.client, url, t.id, s.run.ackTimeout)
-			s.tracker.acked(t.id)
+			s.run.met.acked.Inc()
 			dsp.End("status", "acked", "trials", sum.TrialsRun)
 			s.mu.Lock()
 			s.outstanding -= n
@@ -902,7 +924,7 @@ func (s *sched) workerLoop(url string) {
 		s.mu.Unlock()
 		release()
 		s.cond.Broadcast()
-		s.tracker.requeued(t.id)
+		s.run.met.requeued.Inc()
 		if terminal || s.runCtx.Err() != nil {
 			return
 		}
@@ -1051,12 +1073,10 @@ func (s *sched) claimShard(url string, t *task, spanCtx telemetry.SpanContext) (
 		if !want[o.Hash] {
 			continue // stray outcome from another run's namespace; ignore
 		}
+		s.run.met.streamed.Inc()
 		if s.run.deliver(o.Hash, o, o.CacheHit) {
 			deliveredHere++
 			deliveredOut = append(deliveredOut, o)
-			s.tracker.streamed(t.id, true)
-		} else {
-			s.tracker.streamed(t.id, false)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,7 +191,8 @@ func TestClusterReassignsShardsFromKilledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	healthy, _ := startWorker(t, sweep.Options{}, "montecarlo")
+	healthyRec := telemetry.NewFlightRecorder(0)
+	healthy, _ := startTracedWorker(t, healthyRec)
 	ws := NewWorkerServer(LocalRunner(sweep.Options{}))
 	mux := http.NewServeMux()
 	ws.Register(mux)
@@ -201,14 +203,17 @@ func TestClusterReassignsShardsFromKilledWorker(t *testing.T) {
 	flakySrv := httptest.NewServer(flaky)
 	t.Cleanup(flakySrv.Close)
 
+	coordRec := telemetry.NewFlightRecorder(0)
 	before := countGoroutines(0)
 	rep, err := Run(context.Background(), specs, Options{
 		Workers:     []string{flakySrv.URL, healthy.URL},
 		BackoffBase: time.Millisecond, // keep the retry path fast under test
+		Recorder:    coordRec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoOpenSpans(t, 0, coordRec, healthyRec)
 	if flaky.hits.Load() == 0 {
 		t.Fatal("flaky worker was never claimed — the failure path did not run")
 	}
@@ -320,12 +325,55 @@ func TestClusterPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	w, _ := startWorker(t, sweep.Options{}, "montecarlo")
-	rep, err := Run(ctx, testGrid(t), Options{Workers: []string{w.URL}})
+	rec := telemetry.NewFlightRecorder(0)
+	rep, err := Run(ctx, testGrid(t), Options{Workers: []string{w.URL}, Recorder: rec})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if rep == nil || !rep.Partial {
 		t.Fatalf("cancelled cluster run must return a partial report, got %+v", rep)
+	}
+	requireNoOpenSpans(t, 0, rec)
+}
+
+func TestClusterCancelMidShardEndsEverySpan(t *testing.T) {
+	// The run is cancelled while its only worker is mid-shard: one
+	// outcome streamed, the rest stuck until the claim is cut. The
+	// partial report returns and neither side keeps an open span.
+	workerRec := telemetry.NewFlightRecorder(0)
+	ws := NewWorkerServer(func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
+		stats, err := LocalRunner(sweep.Options{})(ctx, specs[:1], on)
+		if err == nil {
+			<-ctx.Done()
+			err = ctx.Err()
+		}
+		return stats, err
+	})
+	ws.SetTelemetry("montecarlo", nil, workerRec)
+	mux := http.NewServeMux()
+	ws.Register(mux)
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]string{"status": "ok", "backend": "montecarlo"})
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	coordRec := telemetry.NewFlightRecorder(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rep, err := Run(ctx, testGrid(t), Options{
+		Workers:   []string{srv.URL},
+		ShardSize: 64,
+		Recorder:  coordRec,
+		OnOutcome: func(sweep.Outcome) { cancel() },
+	})
+	if !errors.Is(err, context.Canceled) || rep == nil || !rep.Partial {
+		t.Fatalf("mid-shard cancel: err = %v, report %+v", err, rep)
+	}
+	requireNoOpenSpans(t, 0, coordRec)
+	requireNoOpenSpans(t, 5*time.Second, workerRec)
+	if evals := spansByName(workerRec.Spans(""), "eval"); len(evals) != 1 || evals[0].Attrs["status"] != "torn" {
+		t.Errorf("worker eval spans after the cut: %+v", evals)
 	}
 }
 
@@ -368,9 +416,12 @@ func TestClusterDispatchGatePacesShardsWithoutChangingReport(t *testing.T) {
 	w1, _ := startWorker(t, sweep.Options{}, "montecarlo")
 	w2, _ := startWorker(t, sweep.Options{}, "montecarlo")
 	gate := &countingGate{sem: make(chan struct{}, 1), capPerGrant: 2}
+	rec := telemetry.NewFlightRecorder(0)
 	rep, err := Run(context.Background(), specs, Options{
-		Workers: []string{w1.URL, w2.URL},
-		Gate:    gate,
+		Workers:   []string{w1.URL, w2.URL},
+		Gate:      gate,
+		ShardSize: 4, // every claim asks for more than one grant allows
+		Recorder:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -385,9 +436,15 @@ func TestClusterDispatchGatePacesShardsWithoutChangingReport(t *testing.T) {
 		t.Errorf("gate grants leaked: %d acquires, %d releases",
 			gate.acquires.Load(), gate.releases.Load())
 	}
-	// capPerGrant 2 across 7 unique scenarios forces at least 4 shards.
-	if gate.acquires.Load() < 4 {
+	// capPerGrant 2 across 6 unique scenarios forces at least 3 shards,
+	// and no shard may carry more than the grant.
+	if gate.acquires.Load() < 3 {
 		t.Errorf("gate cap ignored: only %d acquires", gate.acquires.Load())
+	}
+	for _, d := range spansByName(rec.Spans(""), "dispatch") {
+		if n, _ := strconv.Atoi(d.Attrs["scenarios"]); n > gate.capPerGrant {
+			t.Errorf("shard of %d scenarios dispatched under a grant of %d", n, gate.capPerGrant)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // stallingWorker speaks the real shard protocol but, on its first
@@ -206,15 +207,10 @@ func TestClusterZeroWorkersCompletesAfterSelfRegistration(t *testing.T) {
 		reg.Register(w2.URL, "montecarlo", 0)
 	}()
 
-	var snapshots []Progress
-	var mu sync.Mutex
+	metrics := telemetry.NewRegistry()
 	rep, err := Run(context.Background(), specs, Options{
 		Registry: reg,
-		OnProgress: func(p Progress) {
-			mu.Lock()
-			snapshots = append(snapshots, p)
-			mu.Unlock()
-		},
+		Metrics:  metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,23 +227,18 @@ func TestClusterZeroWorkersCompletesAfterSelfRegistration(t *testing.T) {
 		t.Error("no self-registered worker completed any shard")
 	}
 
-	// Progress flowed: claims were observed, the final snapshot is done
-	// with every unique item delivered.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(snapshots) == 0 {
-		t.Fatal("no progress snapshots observed")
-	}
-	last := snapshots[len(snapshots)-1]
+	// The run's counters tell the progress story: every unique item
+	// delivered, with claims and streamed outcomes along the way.
 	uniq := make(map[string]bool)
 	for _, s := range specs {
 		uniq[s.MustHash()] = true
 	}
-	if !last.Done || last.Total != len(uniq) || last.Delivered != len(uniq) {
-		t.Errorf("final progress snapshot: %+v (want done, %d/%d)", last, len(uniq), len(uniq))
+	snap := metrics.Snapshot()
+	if got := snap["fairness_cluster_delivered_total"]; got != float64(len(uniq)) {
+		t.Errorf("delivered = %v, want %d", got, len(uniq))
 	}
-	if last.ShardsClaimed == 0 || last.OutcomesStreamed == 0 {
-		t.Errorf("progress never saw claims/streams: %+v", last)
+	if snap["fairness_cluster_shards_claimed_total"] == 0 || snap["fairness_cluster_outcomes_streamed_total"] == 0 {
+		t.Errorf("counters never saw claims/streams: %v", snap)
 	}
 }
 

@@ -284,14 +284,10 @@ type registerResponse struct {
 }
 
 // RegistryServer is the coordinator's HTTP listener: worker
-// registration, deregistration, live run progress and a coordinator
-// healthz, mounted on any mux. fairctl `run -listen` serves one next to
-// the scheduler.
+// registration, deregistration and a coordinator healthz, mounted on any
+// mux. fairctl `run -listen` serves one next to the scheduler.
 type RegistryServer struct {
 	reg *Registry
-
-	mu       sync.Mutex
-	progress Progress
 }
 
 // NewRegistryServer wraps a registry in its HTTP face.
@@ -302,25 +298,15 @@ func NewRegistryServer(reg *Registry) *RegistryServer {
 // Register mounts the coordinator endpoints on mux.
 func (s *RegistryServer) Register(mux *http.ServeMux) {
 	s.RegisterMembership(mux)
-	mux.HandleFunc("GET /v1/progress", s.handleProgress)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 }
 
 // RegisterMembership mounts only the membership endpoints (register and
-// deregister) — for hosts whose mux already serves their own progress
-// and healthz routes, like a fairnessd running the job service in
-// cluster mode.
+// deregister) — for hosts whose mux already serves its own healthz
+// route, like a fairnessd running the job service in cluster mode.
 func (s *RegistryServer) RegisterMembership(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/register", s.handleRegister)
 	mux.HandleFunc("POST /v1/deregister", s.handleDeregister)
-}
-
-// UpdateProgress publishes the latest run snapshot to /v1/progress —
-// wire it as (or into) the run's Options.OnProgress.
-func (s *RegistryServer) UpdateProgress(p Progress) {
-	s.mu.Lock()
-	s.progress = p
-	s.mu.Unlock()
 }
 
 func (s *RegistryServer) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -354,14 +340,6 @@ func (s *RegistryServer) handleDeregister(w http.ResponseWriter, r *http.Request
 	removed := s.reg.Deregister(req.URL)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]bool{"removed": removed})
-}
-
-func (s *RegistryServer) handleProgress(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	p := s.progress
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(p)
 }
 
 func (s *RegistryServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

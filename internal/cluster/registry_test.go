@@ -200,21 +200,6 @@ func TestRegistryServerEndpoints(t *testing.T) {
 		t.Errorf("coordinator healthz: %+v", health)
 	}
 
-	// Progress serves whatever the run last published.
-	srv.UpdateProgress(Progress{Total: 10, Delivered: 4, ShardsClaimed: 2})
-	pr, err := http.Get(ts.URL + "/v1/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Body.Close()
-	var p Progress
-	if err := json.NewDecoder(pr.Body).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Total != 10 || p.Delivered != 4 || p.ShardsClaimed != 2 {
-		t.Errorf("progress: %+v", p)
-	}
-
 	// Deregister removes the member.
 	dr := postJSON(t, ts.URL+"/v1/deregister", `{"url":"w:1"}`)
 	defer dr.Body.Close()

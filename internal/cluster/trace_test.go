@@ -31,6 +31,23 @@ func startTracedWorker(t *testing.T, rec *telemetry.FlightRecorder) (*httptest.S
 	return srv, ws
 }
 
+// requireNoOpenSpans fails if a recorder still holds an open span once
+// its run is over: every span must end on every path. A worker notices a
+// cut claim only when its connection drops, so recorders get up to grace
+// to drain.
+func requireNoOpenSpans(t *testing.T, grace time.Duration, recs ...*telemetry.FlightRecorder) {
+	t.Helper()
+	deadline := time.Now().Add(grace)
+	for i, rec := range recs {
+		for len(rec.Open("")) > 0 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if open := rec.Open(""); len(open) > 0 {
+			t.Errorf("recorder %d still holds %d open spans: %+v", i, len(open), open)
+		}
+	}
+}
+
 func spansByName(spans []telemetry.SpanRecord, name string) []telemetry.SpanRecord {
 	var out []telemetry.SpanRecord
 	for _, s := range spans {
@@ -126,6 +143,8 @@ func TestClusterTracePropagatesAcrossWorkers(t *testing.T) {
 		}
 	}
 
+	requireNoOpenSpans(t, 0, coordRec, w1Rec, w2Rec)
+
 	all := append(append([]telemetry.SpanRecord{}, coord...), workerSpans...)
 	tree := telemetry.BuildSpanTree(all)
 	if len(tree.Roots) != 1 {
@@ -169,6 +188,7 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoOpenSpans(t, 0, coordRec, healthyRec)
 
 	spans := coordRec.Spans("")
 	sweeps := spansByName(spans, "sweep")

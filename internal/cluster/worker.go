@@ -22,9 +22,6 @@
 //	POST /v1/shard/ack  {"shard_id":"..."} — ack: the coordinator
 //	                    confirms it merged the shard; the worker drops
 //	                    it from its pending table.
-//	GET  /v1/progress   per-shard claimed/streamed/acked counts — the
-//	                    live view behind `fairctl watch` (served by both
-//	                    workers and the coordinator).
 //	GET  /v1/healthz    liveness plus backend, cache counters, shard
 //	                    counters and measured scenarios/sec, used for
 //	                    placement and failure detection.
@@ -114,50 +111,17 @@ const maxShardBodyBytes = 32 << 20
 // that never acks cannot grow worker memory without bound.
 const maxPendingShards = 1024
 
-// maxShardHistory caps the finished-shard progress table served by
-// /v1/progress.
-const maxShardHistory = 256
-
-// workerShard is one shard's lifecycle as the worker sees it.
-type workerShard struct {
-	Scenarios int       `json:"scenarios"`
-	Streamed  int       `json:"streamed"`
-	State     string    `json:"state"` // claimed | done | failed | acked
-	at        time.Time // claim time (for eviction and age)
-}
-
-// WorkerShardProgress is one row of a worker's /v1/progress response.
-type WorkerShardProgress struct {
-	ID        string `json:"id"`
-	Scenarios int    `json:"scenarios"`
-	Streamed  int    `json:"streamed"`
-	State     string `json:"state"`
-	AgeMS     int64  `json:"age_ms"`
-}
-
-// WorkerProgress is a worker's /v1/progress snapshot: lifetime totals
-// plus the per-shard table (in-flight first, then recent history).
-type WorkerProgress struct {
-	ShardsClaimed    int64                 `json:"shards_claimed"`
-	ShardsInFlight   int64                 `json:"shards_in_flight"`
-	ShardsDone       int64                 `json:"shards_done"`
-	ShardsAcked      int64                 `json:"shards_acked"`
-	OutcomesStreamed int64                 `json:"outcomes_streamed"`
-	PendingAcks      int                   `json:"pending_acks"`
-	ScenariosPerSec  float64               `json:"scenarios_per_sec,omitempty"`
-	Shards           []WorkerShardProgress `json:"shards,omitempty"`
-}
-
 // WorkerServer is the worker-node side of the cluster protocol: it
-// mounts the /v1/shard claim/stream, /v1/shard/ack and /v1/progress
-// endpoints over any sweep pipeline (a fairnessd Engine, or a bare
-// LocalRunner) and tracks the shard counters and throughput EWMA that
-// health endpoints and registration heartbeats report.
+// mounts the /v1/shard claim/stream and /v1/shard/ack endpoints over any
+// sweep pipeline (a fairnessd Engine, or a bare LocalRunner) and tracks
+// the shard counters and throughput EWMA that health endpoints and
+// registration heartbeats report.
 //
 // The shard counters live on telemetry handles — the same storage a
-// /metrics endpoint scrapes — so healthz, /v1/progress and Prometheus
-// exposition can never disagree. A nil registry yields detached (but
-// fully functional) handles.
+// /metrics endpoint scrapes — so healthz and Prometheus exposition can
+// never disagree. A nil registry yields detached (but fully functional)
+// handles. Shards in flight are the open eval spans of the recorder set
+// with SetTelemetry.
 type WorkerServer struct {
 	run      RunFunc
 	claimed  *telemetry.Counter // fairness_worker_shards_claimed_total
@@ -176,8 +140,7 @@ type WorkerServer struct {
 	recorder *telemetry.FlightRecorder
 
 	mu      sync.Mutex
-	pending map[string]time.Time    // completed shards awaiting coordinator ack
-	shards  map[string]*workerShard // per-shard progress (bounded history)
+	pending map[string]time.Time // completed shards awaiting coordinator ack
 }
 
 // NewWorkerServer builds a worker server over the given shard runner
@@ -200,13 +163,12 @@ func NewWorkerServerWithMetrics(run RunFunc, m *telemetry.Registry) *WorkerServe
 		inFlight: m.Gauge("fairness_worker_shards_in_flight"),
 		rate:     m.Gauge("fairness_worker_scenarios_per_sec"),
 		pending:  make(map[string]time.Time),
-		shards:   make(map[string]*workerShard),
 	}
 }
 
 // SetTelemetry wires the worker's span instrumentation: backend labels
-// the eval spans, tr receives span_start/span_end events, and rec keeps
-// completed spans for GET /v1/traces (mounted by the caller via
+// the eval spans, tr receives span_start/span_end events, and rec holds
+// open and completed spans for GET /v1/traces (mounted by the caller via
 // telemetry.TracesHandler). Any argument may be zero/nil; call before
 // serving.
 func (s *WorkerServer) SetTelemetry(backend string, tr *telemetry.Tracer, rec *telemetry.FlightRecorder) {
@@ -219,7 +181,6 @@ func (s *WorkerServer) SetTelemetry(backend string, tr *telemetry.Tracer, rec *t
 func (s *WorkerServer) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
 	mux.HandleFunc("POST /v1/shard/ack", s.handleAck)
-	mux.HandleFunc("GET /v1/progress", s.handleProgress)
 }
 
 // InFlight returns the number of shards currently being evaluated.
@@ -271,54 +232,6 @@ func (s *WorkerServer) PendingAcks() int {
 	return len(s.pending)
 }
 
-// Progress returns the worker's live progress snapshot.
-func (s *WorkerServer) Progress() WorkerProgress {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := WorkerProgress{
-		ShardsClaimed:    s.claimed.Value(),
-		ShardsInFlight:   int64(s.inFlight.Value()),
-		ShardsDone:       s.done.Value(),
-		ShardsAcked:      s.acked.Value(),
-		OutcomesStreamed: s.streamed.Value(),
-		PendingAcks:      len(s.pending),
-		ScenariosPerSec:  s.Rate(),
-	}
-	now := time.Now()
-	for id, sh := range s.shards {
-		p.Shards = append(p.Shards, WorkerShardProgress{
-			ID: id, Scenarios: sh.Scenarios, Streamed: sh.Streamed,
-			State: sh.State, AgeMS: now.Sub(sh.at).Milliseconds(),
-		})
-	}
-	return p
-}
-
-// trackShard records (or updates) one shard's progress row, evicting
-// the oldest finished row when the table is full; callers hold s.mu via
-// the helper methods below.
-func (s *WorkerServer) shardState(id string, mutate func(*workerShard)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sh, ok := s.shards[id]
-	if !ok {
-		if len(s.shards) >= maxShardHistory {
-			oldestID, oldest := "", time.Time{}
-			for k, v := range s.shards {
-				if v.State != "claimed" && (oldest.IsZero() || v.at.Before(oldest)) {
-					oldestID, oldest = k, v.at
-				}
-			}
-			if oldestID != "" {
-				delete(s.shards, oldestID)
-			}
-		}
-		sh = &workerShard{at: time.Now()}
-		s.shards[id] = sh
-	}
-	mutate(sh)
-}
-
 // recordPending marks a completed shard as awaiting ack, evicting the
 // oldest entry when the table is full.
 func (s *WorkerServer) recordPending(id string) {
@@ -368,12 +281,6 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.claimed.Inc()
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	s.shardState(req.ShardID, func(sh *workerShard) {
-		sh.Scenarios = len(req.Scenarios)
-		sh.Streamed = 0
-		sh.State = "claimed"
-		sh.at = time.Now()
-	})
 
 	// The eval span covers the whole shard evaluation, parented under the
 	// coordinator's dispatch span when the claim carried a TraceHeader
@@ -422,7 +329,6 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 			if enc.Encode(out) == nil {
 				streamed++
 				s.streamed.Inc()
-				s.shardState(req.ShardID, func(sh *workerShard) { sh.Streamed = streamed })
 			}
 			if flusher != nil {
 				flusher.Flush()
@@ -440,19 +346,16 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case r.Context().Err() != nil:
-		s.shardState(req.ShardID, func(sh *workerShard) { sh.State = "failed" })
 		eval.End("status", "torn", "streamed", streamed)
 		return // coordinator went away; nothing left to tell it
 	case err != nil:
 		sum.Error = err.Error()
-		s.shardState(req.ShardID, func(sh *workerShard) { sh.State = "failed" })
 		eval.End("status", "error", "error", err.Error(), "streamed", streamed)
 	default:
 		sum.Done = true
 		s.done.Inc()
 		s.observeRate(len(req.Scenarios), time.Since(start))
 		s.recordPending(req.ShardID)
-		s.shardState(req.ShardID, func(sh *workerShard) { sh.State = "done" })
 		eval.End("status", "done", "streamed", streamed, "trials", stats.TrialsRun)
 	}
 	enc.Encode(sum)
@@ -474,16 +377,9 @@ func (s *WorkerServer) handleAck(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if known {
 		s.acked.Inc()
-		s.shardState(req.ShardID, func(sh *workerShard) { sh.State = "acked" })
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]bool{"acked": known})
-}
-
-// handleProgress serves the worker's live shard table.
-func (s *WorkerServer) handleProgress(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Progress())
 }
 
 // shardError writes a JSON error with the given status — the pre-stream

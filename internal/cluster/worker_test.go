@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // postJSON posts a body and returns the response; callers close it.
@@ -97,64 +98,39 @@ func TestWorkerShardClaimStreamAck(t *testing.T) {
 	}
 }
 
-func TestWorkerProgressEndpoint(t *testing.T) {
-	srv, ws := startWorker(t, sweep.Options{}, "montecarlo")
+func TestWorkerCountersAndEvalSpan(t *testing.T) {
+	// The worker's view of one shard, from the surfaces that replace a
+	// per-shard table: the counters healthz reads, and the eval span in
+	// the flight recorder.
+	rec := telemetry.NewFlightRecorder(0)
+	srv, ws := startTracedWorker(t, rec)
 	spec := scenario.Spec{Protocol: "pow", Stake: 0.3, Blocks: 100, Trials: 10, Seed: 7}.Normalized()
-	h := spec.MustHash()
-	id := ShardID([]string{h})
+	id := ShardID([]string{spec.MustHash()})
 	body, _ := json.Marshal(shardRequest{ShardID: id, Scenarios: []scenario.Spec{spec}})
 
 	claim := postJSON(t, srv.URL+"/v1/shard", string(body))
 	io.Copy(io.Discard, claim.Body)
 	claim.Body.Close()
 
-	resp, err := http.Get(srv.URL + "/v1/progress")
-	if err != nil {
-		t.Fatal(err)
+	if ws.Claimed() != 1 || ws.Done() != 1 || ws.InFlight() != 0 || ws.Streamed() != 1 ||
+		ws.PendingAcks() != 1 || ws.Acked() != 0 {
+		t.Errorf("counters after claim: claimed=%d done=%d in-flight=%d streamed=%d pending=%d acked=%d",
+			ws.Claimed(), ws.Done(), ws.InFlight(), ws.Streamed(), ws.PendingAcks(), ws.Acked())
 	}
-	defer resp.Body.Close()
-	var p WorkerProgress
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatal(err)
+	if ws.Rate() <= 0 {
+		t.Errorf("Rate() = %v, want > 0 after a completed shard", ws.Rate())
 	}
-	if p.ShardsClaimed != 1 || p.ShardsDone != 1 || p.OutcomesStreamed != 1 || p.PendingAcks != 1 {
-		t.Errorf("progress after claim: %+v", p)
-	}
-	if len(p.Shards) != 1 || p.Shards[0].ID != id || p.Shards[0].State != "done" ||
-		p.Shards[0].Streamed != 1 || p.Shards[0].Scenarios != 1 {
-		t.Errorf("per-shard progress: %+v", p.Shards)
-	}
-	if p.ScenariosPerSec <= 0 {
-		t.Errorf("scenarios_per_sec = %v, want > 0 after a completed shard", p.ScenariosPerSec)
-	}
-	if ws.Rate() != p.ScenariosPerSec {
-		t.Errorf("Rate() = %v, progress reports %v", ws.Rate(), p.ScenariosPerSec)
+	requireNoOpenSpans(t, 0, rec)
+	evals := spansByName(rec.Spans(""), "eval")
+	if len(evals) != 1 || evals[0].Attrs["shard"] != id ||
+		evals[0].Attrs["status"] != "done" || evals[0].Attrs["streamed"] != "1" {
+		t.Errorf("finished shard's eval span: %+v", evals)
 	}
 
-	// Acking flips the shard row to acked and bumps the acked counter.
 	ack := postJSON(t, srv.URL+"/v1/shard/ack", `{"shard_id":"`+id+`"}`)
 	ack.Body.Close()
-	resp2, err := http.Get(srv.URL + "/v1/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if err := json.NewDecoder(resp2.Body).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.ShardsAcked != 1 || p.PendingAcks != 0 || p.Shards[0].State != "acked" {
-		t.Errorf("progress after ack: %+v", p)
-	}
-}
-
-func TestWorkerShardHistoryBounded(t *testing.T) {
-	ws := NewWorkerServer(nil)
-	for i := 0; i < maxShardHistory+20; i++ {
-		id := ShardID([]string{string(rune('a' + i%26)), string(rune(i))})
-		ws.shardState(id, func(sh *workerShard) { sh.State = "done" })
-	}
-	if n := len(ws.Progress().Shards); n > maxShardHistory {
-		t.Errorf("shard history grew to %d, cap %d", n, maxShardHistory)
+	if ws.Acked() != 1 || ws.PendingAcks() != 0 {
+		t.Errorf("counters after ack: acked=%d pending=%d", ws.Acked(), ws.PendingAcks())
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -410,5 +412,39 @@ func TestJobServerHTTPEndToEnd(t *testing.T) {
 	jobsList, err := c.List(ctx, "acme", StateDone)
 	if err != nil || len(jobsList) != 1 {
 		t.Errorf("list: %v, %v", jobsList, err)
+	}
+}
+
+func TestTenantCacheEncodesTenantNamesInjectively(t *testing.T) {
+	// Tenant names a file name cannot carry verbatim get their own
+	// namespace each: "a b" and "a_b" stay apart, and the ':' in "a:b"
+	// does not split the tenant segment of the disk key. Plain names
+	// keep their directory.
+	dir := t.TempDir()
+	base, err := sweep.NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := []string{"a b", "a_b", "a:b", "tenant0"}
+	for i, tenant := range tenants {
+		TenantCache(tenant, base).Add("montecarlo:abcd01", sweep.Outcome{TrialsRun: int64(i + 1)})
+	}
+	for i, tenant := range tenants {
+		out, ok := TenantCache(tenant, base).Get("montecarlo:abcd01")
+		if !ok || out.TrialsRun != int64(i+1) {
+			t.Errorf("tenant %q: ok=%v trials_run=%d, want its own entry", tenant, ok, out.TrialsRun)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(tenants) {
+		t.Errorf("%d tenant directories, want one per tenant: %v", len(entries), entries)
+	}
+	for _, plain := range []string{"t-a_b", "t-tenant0"} {
+		if _, err := os.Stat(filepath.Join(dir, plain)); err != nil {
+			t.Errorf("plain tenant directory moved: %v", err)
+		}
 	}
 }

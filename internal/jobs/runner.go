@@ -2,8 +2,8 @@ package jobs
 
 import (
 	"context"
-	"strings"
 
+	"repro/internal/cachestore"
 	"repro/internal/cluster"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -114,10 +114,15 @@ func LocalRunner(opts sweep.Options, chunk int) SweepRunner {
 // TenantCache wraps a base cache so one tenant's entries live under
 // their own namespace: key "backend:hash" becomes
 // "t-<tenant>:backend:hash", which the disk store lays out as a
-// per-tenant directory tree. Tenants therefore never warm-start from
-// (or leak timing about) each other's results.
+// per-tenant directory tree. The tenant goes through the disk store's
+// cachestore.Segment encoding ("" reads as "default"), so every tenant
+// name — ':' included — gets a namespace of its own. Tenants therefore
+// never warm-start from (or leak timing about) each other's results.
 func TenantCache(tenant string, base sweep.CacheStore) sweep.CacheStore {
-	return &tenantCache{prefix: "t-" + sanitizeTenant(tenant) + ":", base: base}
+	if tenant == "" {
+		tenant = "default"
+	}
+	return &tenantCache{prefix: "t-" + cachestore.Segment(tenant) + ":", base: base}
 }
 
 type tenantCache struct {
@@ -128,24 +133,3 @@ type tenantCache struct {
 func (c *tenantCache) Get(key string) (sweep.Outcome, bool) { return c.base.Get(c.prefix + key) }
 func (c *tenantCache) Add(key string, o sweep.Outcome)      { c.base.Add(c.prefix+key, o) }
 func (c *tenantCache) Len() int                             { return c.base.Len() }
-
-// sanitizeTenant maps a tenant name onto the cache store's path-safe
-// alphabet (letters, digits, dot, dash, underscore); anything else
-// becomes '_'. Distinct tenants that sanitize identically share a
-// namespace — acceptable, since tenant names are operator-assigned.
-func sanitizeTenant(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	var b strings.Builder
-	for _, r := range tenant {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}

@@ -15,8 +15,9 @@ import (
 // tenant re-acquires the moment its grant is handed to the main
 // goroutine, which counts and releases grants one at a time. This is
 // the "under saturation" regime the fairness property quantifies over:
-// with all tenants always pending, each release forces the scheduler
-// to pick among them.
+// before each release the main goroutine waits until every tenant has a
+// request pending, so each release forces the scheduler to pick among
+// all of them. The scheduler must run with capacity 1.
 func saturate(t *testing.T, s *Scheduler, tenants []string, priorities map[string]int,
 	total int64) map[string]int64 {
 	t.Helper()
@@ -54,9 +55,15 @@ func saturate(t *testing.T, s *Scheduler, tenants []string, priorities map[strin
 		rec := <-grants
 		counts[rec.tenant] += int64(rec.n)
 		granted += int64(rec.n)
-		// Let the just-granted tenant re-enter the pending set before
-		// releasing, so the next pick is a genuinely contested one.
-		for range 4 {
+		// Wait for the just-granted tenant to re-enter the pending set,
+		// so the next pick is a genuinely contested one.
+		for {
+			s.mu.Lock()
+			contested := len(s.pending) == len(tenants)
+			s.mu.Unlock()
+			if contested {
+				break
+			}
 			runtime.Gosched()
 		}
 		rec.release()

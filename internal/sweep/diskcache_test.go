@@ -168,3 +168,33 @@ func TestDiskCacheMaxBytesEvicts(t *testing.T) {
 		t.Errorf("want %d hits + %d recomputes, got %+v", surviving, full-surviving, rep.Stats)
 	}
 }
+
+func TestDiskCacheRoundTripsConfiguredEvaluatorNames(t *testing.T) {
+	// Adaptive Monte-Carlo and configured arena evaluators name their
+	// cache namespace with characters a file name cannot carry verbatim;
+	// their outcomes must still be stored and found again. Plain names
+	// keep their directory.
+	dir := t.TempDir()
+	c, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := &MonteCarloEvaluator{Adaptive: &AdaptiveTrials{}}
+	arena, err := ParseArenaName("arena(r=3;s=honest+selfish:g=0.5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := quickGrid(t)[0].MustHash()
+	for i, name := range []string{mc.Name(), arena.Name(), "montecarlo"} {
+		c.Add(CacheKey(name, hash), Outcome{Hash: hash, TrialsRun: int64(i + 1)})
+	}
+	for i, name := range []string{mc.Name(), arena.Name(), "montecarlo"} {
+		out, ok := c.Get(CacheKey(name, hash))
+		if !ok || out.TrialsRun != int64(i+1) {
+			t.Errorf("%s: ok=%v trials_run=%d, want its own outcome", name, ok, out.TrialsRun)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "montecarlo", hash[:2], hash)); err != nil {
+		t.Errorf("plain backend name moved: %v", err)
+	}
+}

@@ -2,12 +2,16 @@ package telemetry
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
+	"sort"
 	"sync"
+	"time"
 )
 
-// SpanRecord is one completed span as the flight recorder stores it and
-// GET /v1/traces serves it.
+// SpanRecord is one span as the flight recorder stores it and GET
+// /v1/traces serves it. For an open span DurationMS is the time elapsed
+// so far.
 type SpanRecord struct {
 	TraceID     string            `json:"trace_id"`
 	SpanID      string            `json:"span_id"`
@@ -31,18 +35,20 @@ func (r SpanRecord) EndUnixNS() int64 {
 const defaultFlightCapacity = 4096
 
 // FlightRecorder is a bounded in-memory ring buffer of recently
-// completed spans — the post-hoc view behind GET /v1/traces. When the
-// ring is full the oldest span is overwritten; Dropped counts the
-// overwrites so consumers can tell a short history from a truncated one.
-// All methods are safe for concurrent use, and every method on a nil
-// *FlightRecorder is a harmless no-op, matching the rest of the
-// telemetry layer.
+// completed spans — the post-hoc view behind GET /v1/traces — plus the
+// set of spans started but not yet ended, the live view. When the ring
+// is full the oldest span is overwritten; Dropped counts the overwrites
+// so consumers can tell a short history from a truncated one. The open
+// set needs no bound: every span leaves it at End. All methods are safe
+// for concurrent use, and every method on a nil *FlightRecorder is a
+// harmless no-op, matching the rest of the telemetry layer.
 type FlightRecorder struct {
 	mu      sync.Mutex
 	buf     []SpanRecord
 	next    int // write cursor
 	full    bool
 	dropped int64
+	open    map[*Span]struct{}
 }
 
 // NewFlightRecorder returns a recorder keeping the most recent capacity
@@ -51,7 +57,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = defaultFlightCapacity
 	}
-	return &FlightRecorder{buf: make([]SpanRecord, 0, capacity)}
+	return &FlightRecorder{buf: make([]SpanRecord, 0, capacity), open: make(map[*Span]struct{})}
 }
 
 // Record appends one completed span, evicting the oldest when full.
@@ -61,6 +67,29 @@ func (f *FlightRecorder) Record(s SpanRecord) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.recordLocked(s)
+}
+
+// begin adds a started span to the open set.
+func (f *FlightRecorder) begin(s *Span) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.open[s] = struct{}{}
+	f.mu.Unlock()
+}
+
+// finish moves an ended span from the open set to the ring in one step,
+// so a reader always finds it in exactly one of the two.
+func (f *FlightRecorder) finish(s *Span, r SpanRecord) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.open, s)
+	f.recordLocked(r)
+}
+
+func (f *FlightRecorder) recordLocked(s SpanRecord) {
 	if len(f.buf) < cap(f.buf) {
 		f.buf = append(f.buf, s)
 		return
@@ -100,6 +129,26 @@ func (f *FlightRecorder) Spans(traceID string) []SpanRecord {
 	return out
 }
 
+// Open returns the spans started but not yet ended, oldest first,
+// filtered to one trace when traceID is non-empty. Each record carries
+// a copy of the span's start attributes and the time elapsed so far.
+func (f *FlightRecorder) Open(traceID string) []SpanRecord {
+	if f == nil {
+		return nil
+	}
+	now := time.Now()
+	f.mu.Lock()
+	out := make([]SpanRecord, 0, len(f.open))
+	for s := range f.open {
+		if traceID == "" || s.sc.TraceID == traceID {
+			out = append(out, s.record(now.Sub(s.start), maps.Clone(s.attrs)))
+		}
+	}
+	f.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].StartUnixNS < out[b].StartUnixNS })
+	return out
+}
+
 // Len returns the number of spans currently retained.
 func (f *FlightRecorder) Len() int {
 	if f == nil {
@@ -120,18 +169,20 @@ func (f *FlightRecorder) Dropped() int64 {
 	return f.dropped
 }
 
-// TracesResponse is the GET /v1/traces body.
+// TracesResponse is the GET /v1/traces body: Spans holds completed
+// spans only (Count of them), Open the spans still in flight.
 type TracesResponse struct {
 	Spans    []SpanRecord `json:"spans"`
+	Open     []SpanRecord `json:"open"`
 	Count    int          `json:"count"`
 	Capacity int          `json:"capacity"`
 	Dropped  int64        `json:"dropped"`
 }
 
 // TracesHandler serves the flight recorder at GET /v1/traces: all
-// retained spans oldest-first, or one trace with ?trace_id=. A nil
-// recorder serves an empty span list, so the endpoint can be mounted
-// unconditionally.
+// retained spans and all open spans oldest-first, or one trace's with
+// ?trace_id=. A nil recorder serves empty lists, so the endpoint can be
+// mounted unconditionally.
 func TracesHandler(rec *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -139,8 +190,10 @@ func TracesHandler(rec *FlightRecorder) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		spans := rec.Spans(r.URL.Query().Get("trace_id"))
-		resp := TracesResponse{Spans: spans, Count: len(spans), Dropped: rec.Dropped()}
+		traceID := r.URL.Query().Get("trace_id")
+		spans := rec.Spans(traceID)
+		resp := TracesResponse{Spans: spans, Open: rec.Open(traceID),
+			Count: len(spans), Dropped: rec.Dropped()}
 		if rec != nil {
 			rec.mu.Lock()
 			resp.Capacity = cap(rec.buf)

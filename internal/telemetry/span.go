@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -55,9 +56,10 @@ func newID() string {
 
 // Span is one timed operation in a trace. Start one with StartSpan and
 // finish it with End; the pair emits span_start/span_end NDJSON events
-// on the tracer and records the completed span in the flight recorder.
-// Durations are monotonic (time.Since on the captured start), immune to
-// wall-clock steps. A nil *Span is a no-op whose Context is zero.
+// on the tracer, and the flight recorder holds the span in its open set
+// from start to end, then keeps the completed record. Durations are
+// monotonic (time.Since on the captured start), immune to wall-clock
+// steps. A nil *Span is a no-op whose Context is zero.
 type Span struct {
 	tracer   *Tracer
 	recorder *FlightRecorder
@@ -65,8 +67,8 @@ type Span struct {
 	parent   string
 	service  string
 	name     string
-	start    time.Time // carries the monotonic clock reading
-	attrs    map[string]string
+	start    time.Time         // carries the monotonic clock reading
+	attrs    map[string]string // start attributes; never written after StartSpan
 	ended    atomic.Bool
 }
 
@@ -75,7 +77,8 @@ type Span struct {
 // ("jobs", "coordinator", "worker"). attrs are alternating key, value
 // pairs recorded on the span and emitted with the span_start event. tr
 // and rec may each be nil: the span still carries a usable Context, so
-// propagation works even when nothing records it.
+// propagation works even when nothing records it. A non-nil rec lists
+// the span among its open spans until End.
 func StartSpan(tr *Tracer, rec *FlightRecorder, parent SpanContext, service, name string, attrs ...any) *Span {
 	s := &Span{
 		tracer:   tr,
@@ -104,6 +107,7 @@ func StartSpan(tr *Tracer, rec *FlightRecorder, parent SpanContext, service, nam
 	}
 	ev = append(ev, attrs...)
 	tr.Emit("span_start", ev...)
+	rec.begin(s)
 	return s
 }
 
@@ -118,23 +122,16 @@ func (s *Span) Context() SpanContext {
 }
 
 // End closes the span: it emits the span_end event with the monotonic
-// duration and records the completed span in the flight recorder. End is
-// idempotent — only the first call counts, so requeue/retry paths that
-// converge on the same span can never double-close it. attrs are
-// appended to the span's recorded attributes.
+// duration and moves the span from the flight recorder's open set to its
+// completed ring. End is idempotent — only the first call counts, so
+// requeue/retry paths that converge on the same span can never
+// double-close it. attrs are appended to the span's recorded attributes.
 func (s *Span) End(attrs ...any) {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
-	dur := float64(time.Since(s.start).Microseconds()) / 1000
-	if len(attrs) > 1 {
-		if s.attrs == nil {
-			s.attrs = make(map[string]string, len(attrs)/2)
-		}
-		for i := 0; i+1 < len(attrs); i += 2 {
-			s.attrs[fmt.Sprint(attrs[i])] = fmt.Sprint(attrs[i+1])
-		}
-	}
+	d := time.Since(s.start)
+	dur := float64(d.Microseconds()) / 1000
 	ev := make([]any, 0, 10+len(attrs))
 	ev = append(ev, "trace_id", s.sc.TraceID, "span_id", s.sc.SpanID,
 		"span", s.name, "service", s.service, "duration_ms", dur)
@@ -143,16 +140,34 @@ func (s *Span) End(attrs ...any) {
 	}
 	ev = append(ev, attrs...)
 	s.tracer.Emit("span_end", ev...)
-	s.recorder.Record(SpanRecord{
+	if s.recorder == nil {
+		return
+	}
+	// The completed record gets its own map: Open may be copying the
+	// start attributes concurrently.
+	all := s.attrs
+	if len(attrs) > 1 {
+		all = make(map[string]string, len(s.attrs)+len(attrs)/2)
+		maps.Copy(all, s.attrs)
+		for i := 0; i+1 < len(attrs); i += 2 {
+			all[fmt.Sprint(attrs[i])] = fmt.Sprint(attrs[i+1])
+		}
+	}
+	s.recorder.finish(s, s.record(d, all))
+}
+
+// record renders the span as a SpanRecord lasting d with attrs.
+func (s *Span) record(d time.Duration, attrs map[string]string) SpanRecord {
+	return SpanRecord{
 		TraceID:     s.sc.TraceID,
 		SpanID:      s.sc.SpanID,
 		ParentID:    s.parent,
 		Name:        s.name,
 		Service:     s.service,
 		StartUnixNS: s.start.UnixNano(),
-		DurationMS:  dur,
-		Attrs:       s.attrs,
-	})
+		DurationMS:  float64(d.Microseconds()) / 1000,
+		Attrs:       attrs,
+	}
 }
 
 // Context plumbing: the active span context and the trace baggage

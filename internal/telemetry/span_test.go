@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -281,5 +283,127 @@ func TestBuildSpanTreeSelfTimeAndCriticalPath(t *testing.T) {
 	})
 	if len(orphan.Roots) != 1 {
 		t.Errorf("orphan roots: %d", len(orphan.Roots))
+	}
+}
+
+func TestOpenSpansLiveFromStartToEnd(t *testing.T) {
+	rec := NewFlightRecorder(8)
+	root := StartSpan(nil, rec, SpanContext{}, "coordinator", "sweep", "unique", 4)
+	child := StartSpan(nil, rec, root.Context(), "coordinator", "dispatch", "shard", "s-1")
+	other := StartSpan(nil, rec, SpanContext{}, "worker", "eval")
+
+	open := rec.Open("")
+	if len(open) != 3 || open[0].Name != "sweep" || open[1].Name != "dispatch" {
+		t.Fatalf("open spans: %+v", open)
+	}
+	if open[0].Attrs["unique"] != "4" || open[1].ParentID != root.Context().SpanID {
+		t.Errorf("open records: %+v", open[:2])
+	}
+	if got := rec.Open(root.Context().TraceID); len(got) != 2 {
+		t.Errorf("trace-filtered open spans: %+v", got)
+	}
+	if len(rec.Spans("")) != 0 {
+		t.Error("completed ring holds spans that have not ended")
+	}
+
+	// Open hands out copies: neither the caller's edits nor End's
+	// attributes reach another reader's view.
+	open[1].Attrs["shard"] = "mutated"
+	held := rec.Open(root.Context().TraceID)[1]
+	child.End("status", "acked")
+	if held.Attrs["shard"] != "s-1" || held.Attrs["status"] != "" {
+		t.Errorf("open record changed under its reader: %+v", held.Attrs)
+	}
+	done := rec.Spans("")
+	if len(done) != 1 || done[0].Attrs["shard"] != "s-1" || done[0].Attrs["status"] != "acked" {
+		t.Errorf("completed record: %+v", done)
+	}
+	if got := rec.Open(""); len(got) != 2 {
+		t.Errorf("ended span still open: %+v", got)
+	}
+
+	// The handler serves both lists; spans stays completed-only.
+	rr := httptest.NewRecorder()
+	TracesHandler(rec).ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces", nil))
+	var resp TracesResponse
+	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Count != 1 || len(resp.Spans) != 1 || len(resp.Open) != 2 {
+		t.Errorf("traces response: %+v", resp)
+	}
+
+	root.End()
+	other.End()
+	root.End() // idempotent: must not record twice
+	if n := len(rec.Open("")); n != 0 {
+		t.Errorf("%d spans still open after every End", n)
+	}
+	if n := rec.Len(); n != 3 {
+		t.Errorf("recorder holds %d completed spans, want 3", n)
+	}
+	var nilRec *FlightRecorder
+	if nilRec.Open("") != nil {
+		t.Error("nil recorder reports open spans")
+	}
+}
+
+func TestOpenSpansConcurrentStartEndAndReads(t *testing.T) {
+	// Run under -race: spans start and end on many goroutines while
+	// others read the open set directly and through GET /v1/traces.
+	rec := NewFlightRecorder(64)
+	srv := httptest.NewServer(TracesHandler(rec))
+	defer srv.Close()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		go func(i int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%2 == 0 {
+					for _, r := range rec.Open("") {
+						_ = r.Attrs["k"]
+					}
+					continue
+				}
+				resp, err := http.Get(srv.URL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var body TracesResponse
+				err = json.NewDecoder(resp.Body).Decode(&body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	var writers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			for i := 0; i < 200; i++ {
+				s := StartSpan(nil, rec, SpanContext{}, "worker", "eval", "k", g)
+				c := StartSpan(nil, rec, s.Context(), "worker", "stream")
+				c.End("streamed", i)
+				s.End("status", "done", "k", i)
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if n := len(rec.Open("")); n != 0 {
+		t.Errorf("%d spans left open", n)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // the cluster emit the per-sweep span sequence through it:
 //
 //	sweep_start → sweep_eval* → sweep_done                        (local)
-//	cluster_start → shard_claim/shard_stream/shard_ack/
-//	  shard_requeue/lease_expiry/worker_quarantine* → cluster_done (distributed)
+//	cluster_start → span_start/span_end (dispatch, ...)/
+//	  lease_expiry/worker_quarantine* → cluster_done             (distributed)
 //
 // Writes are serialised by a mutex, so events from concurrent workers
 // interleave whole lines, never bytes. A nil *Tracer is a no-op, which
