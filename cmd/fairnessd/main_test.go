@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -264,8 +265,8 @@ func TestDiskCacheSharedAcrossDaemonRestarts(t *testing.T) {
 
 func TestShardEndpointClaimStreamAckAndHealthzCounters(t *testing.T) {
 	// The worker-node face of cluster mode: claim a shard, count the
-	// streamed outcomes, then check the healthz placement counters, the
-	// shard's eval span in /v1/traces and the ack handshake.
+	// streamed outcomes, then check the healthz placement counters and
+	// the ack handshake.
 	_, ts := testServer(t, config{cacheCap: 16})
 	shard := `{"shard_id":"deadbeef","scenarios":[
 		{"protocol":"pow","stake":0.2,"blocks":100,"trials":10,"seed":4},
@@ -302,12 +303,9 @@ func TestShardEndpointClaimStreamAckAndHealthzCounters(t *testing.T) {
 	}
 
 	var h struct {
-		ShardsClaimed    int64   `json:"shards_claimed"`
-		ShardsInFlight   int64   `json:"shards_in_flight"`
-		ShardsDone       int64   `json:"shards_done"`
-		OutcomesStreamed int64   `json:"outcomes_streamed"`
-		ScenariosPerSec  float64 `json:"scenarios_per_sec"`
-		PendingAcks      int     `json:"pending_acks"`
+		ShardsInFlight int64 `json:"shards_in_flight"`
+		ShardsDone     int64 `json:"shards_done"`
+		PendingAcks    int   `json:"pending_acks"`
 	}
 	hr, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
@@ -317,33 +315,8 @@ func TestShardEndpointClaimStreamAckAndHealthzCounters(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.ShardsClaimed != 1 || h.ShardsInFlight != 0 || h.ShardsDone != 1 ||
-		h.OutcomesStreamed != 2 || h.ScenariosPerSec <= 0 || h.PendingAcks != 1 {
+	if h.ShardsInFlight != 0 || h.ShardsDone != 1 || h.PendingAcks != 1 {
 		t.Errorf("healthz shard counters: %+v", h)
-	}
-
-	// The finished shard is a completed eval span; nothing is open.
-	tr, err := http.Get(ts.URL + "/v1/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Body.Close()
-	var traces struct {
-		Spans []fairness.SpanRecord `json:"spans"`
-		Open  []fairness.SpanRecord `json:"open"`
-	}
-	if err := json.NewDecoder(tr.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
-	}
-	var evals []fairness.SpanRecord
-	for _, s := range traces.Spans {
-		if s.Name == "eval" {
-			evals = append(evals, s)
-		}
-	}
-	if len(evals) != 1 || evals[0].Attrs["shard"] != "deadbeef" ||
-		evals[0].Attrs["status"] != "done" || evals[0].Attrs["streamed"] != "2" || len(traces.Open) != 0 {
-		t.Errorf("traces after the shard: eval spans %+v, open %+v", evals, traces.Open)
 	}
 
 	ack, err := http.Post(ts.URL+"/v1/shard/ack", "application/json",
@@ -444,6 +417,73 @@ func TestAdvertiseURLDerivation(t *testing.T) {
 			t.Errorf("advertiseURL(%q, %q) = %q, %v; want %q, err=%v",
 				c.advertise, c.addr, got, err, c.want, c.wantErr)
 		}
+	}
+}
+
+func TestProgressEndpointAndHealthzShardCounters(t *testing.T) {
+	// GET /v1/progress is retired: a worker's shard progress is its
+	// healthz counters plus the shard's eval span in /v1/traces.
+	_, ts := testServer(t, config{cacheCap: 16})
+	shard := `{"shard_id":"cafebabe","scenarios":[
+		{"protocol":"pow","stake":0.25,"blocks":100,"trials":10,"seed":6}]}`
+	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", strings.NewReader(shard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	pr, err := http.Get(ts.URL + "/v1/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/progress: status %d, want %d", pr.StatusCode, http.StatusNotFound)
+	}
+
+	hr, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var h struct {
+		ShardsClaimed    int64   `json:"shards_claimed"`
+		ShardsInFlight   int64   `json:"shards_in_flight"`
+		ShardsDone       int64   `json:"shards_done"`
+		OutcomesStreamed int64   `json:"outcomes_streamed"`
+		ScenariosPerSec  float64 `json:"scenarios_per_sec"`
+	}
+	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.ShardsClaimed != 1 || h.ShardsInFlight != 0 || h.ShardsDone != 1 ||
+		h.OutcomesStreamed != 1 || h.ScenariosPerSec <= 0 {
+		t.Errorf("healthz shard counters: %+v", h)
+	}
+
+	// The finished shard is a completed eval span; nothing is open.
+	tr, err := http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Body.Close()
+	var traces struct {
+		Spans []fairness.SpanRecord `json:"spans"`
+		Open  []fairness.SpanRecord `json:"open"`
+	}
+	if err := json.NewDecoder(tr.Body).Decode(&traces); err != nil {
+		t.Fatal(err)
+	}
+	var evals []fairness.SpanRecord
+	for _, s := range traces.Spans {
+		if s.Name == "eval" {
+			evals = append(evals, s)
+		}
+	}
+	if len(evals) != 1 || evals[0].Attrs["shard"] != "cafebabe" ||
+		evals[0].Attrs["status"] != "done" || evals[0].Attrs["streamed"] != "1" || len(traces.Open) != 0 {
+		t.Errorf("traces after the shard: eval spans %+v, open %+v", evals, traces.Open)
 	}
 }
 
