@@ -450,10 +450,11 @@ func benchStep(b *testing.B, p protocol.Protocol, miners int) {
 	}
 }
 
-func BenchmarkStepPoW(b *testing.B)          { benchStep(b, protocol.NewPoW(0.01), 2) }
-func BenchmarkStepMLPoS(b *testing.B)        { benchStep(b, protocol.NewMLPoS(0.01), 2) }
-func BenchmarkStepSLPoS(b *testing.B)        { benchStep(b, protocol.NewSLPoS(0.01), 2) }
-func BenchmarkStepFSLPoS(b *testing.B)       { benchStep(b, protocol.NewFSLPoS(0.01), 2) }
-func BenchmarkStepCPoS32(b *testing.B)       { benchStep(b, protocol.NewCPoS(0.01, 0.1, 32), 2) }
-func BenchmarkStepSLPoS10Miner(b *testing.B) { benchStep(b, protocol.NewSLPoS(0.01), 10) }
-func BenchmarkStepHybrid(b *testing.B)       { benchStep(b, protocol.NewHybrid(0.01, 0.5), 2) }
+func BenchmarkStepPoW(b *testing.B)            { benchStep(b, protocol.NewPoW(0.01), 2) }
+func BenchmarkStepMLPoS(b *testing.B)          { benchStep(b, protocol.NewMLPoS(0.01), 2) }
+func BenchmarkStepSLPoS(b *testing.B)          { benchStep(b, protocol.NewSLPoS(0.01), 2) }
+func BenchmarkStepFSLPoS(b *testing.B)         { benchStep(b, protocol.NewFSLPoS(0.01), 2) }
+func BenchmarkStepCPoS32(b *testing.B)         { benchStep(b, protocol.NewCPoS(0.01, 0.1, 32), 2) }
+func BenchmarkStepCPoS32Miners10(b *testing.B) { benchStep(b, protocol.NewCPoS(0.01, 0.1, 32), 10) }
+func BenchmarkStepSLPoS10Miner(b *testing.B)   { benchStep(b, protocol.NewSLPoS(0.01), 10) }
+func BenchmarkStepHybrid(b *testing.B)         { benchStep(b, protocol.NewHybrid(0.01, 0.5), 2) }

@@ -113,6 +113,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -175,21 +176,41 @@ func main() {
 		os.Exit(1)
 	}
 	defer srv.close()
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.mux()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, srv, cfg, net.Listen); err != nil {
+		fmt.Fprintln(os.Stderr, "fairnessd:", err)
+		os.Exit(1)
+	}
+}
+
+// serve opens its listener on cfg.addr with listen (net.Listen outside
+// tests) and serves srv until ctx ends, then shuts down gracefully. With
+// cfg.register set the worker also registers with its coordinator, but
+// only once the listener exists: a coordinator may probe or claim from a
+// worker the moment it registers.
+func serve(ctx context.Context, srv *server, cfg config, listen func(network, address string) (net.Listener, error)) error {
+	var rg *cluster.Registrar
+	if cfg.register != "" {
+		var err error
+		if rg, err = srv.registrar(cfg); err != nil {
+			return err
+		}
+	}
+	ln, err := listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.mux()}
+	ctx, stop := context.WithCancel(ctx)
 	defer stop()
 
 	// Self-registration: announce this worker to the coordinator, renew
-	// the membership lease until the signal context ends, then
-	// deregister so the coordinator stops scheduling onto us BEFORE the
-	// listener drains its in-flight streams.
+	// the membership lease until ctx ends, then deregister so the
+	// coordinator stops scheduling onto us BEFORE the listener drains its
+	// in-flight streams.
 	registrarDone := make(chan struct{})
-	if cfg.register != "" {
-		rg, err := srv.registrar(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fairnessd:", err)
-			os.Exit(1)
-		}
+	if rg != nil {
 		go func() {
 			defer close(registrarDone)
 			rg.Run(ctx)
@@ -200,7 +221,7 @@ func main() {
 	}
 
 	// Shutdown returns only once the in-flight handlers drained (or the
-	// grace period expired); main must wait for it, or exiting would cut
+	// grace period expired); serve must wait for it, or exiting would cut
 	// live NDJSON streams mid-scenario.
 	shutdownDone := make(chan struct{})
 	go func() {
@@ -213,12 +234,13 @@ func main() {
 	}()
 	fmt.Fprintf(os.Stderr, "fairnessd: listening on %s (backend=%s cache=%s)\n",
 		cfg.addr, srv.backendName, srv.cacheDesc)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "fairnessd:", err)
-		os.Exit(1)
-	}
+	err = httpSrv.Serve(ln)
 	stop() // unblock the shutdown goroutine if the listener failed on its own
 	<-shutdownDone
+	if errors.Is(err, http.ErrServerClosed) {
+		return nil
+	}
+	return err
 }
 
 // advertiseURL derives the worker's registered base URL from -advertise

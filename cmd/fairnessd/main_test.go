@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -417,6 +418,67 @@ func TestAdvertiseURLDerivation(t *testing.T) {
 			t.Errorf("advertiseURL(%q, %q) = %q, %v; want %q, err=%v",
 				c.advertise, c.addr, got, err, c.want, c.wantErr)
 		}
+	}
+}
+
+func TestWorkerListensBeforeItRegisters(t *testing.T) {
+	// A coordinator that probes the worker while it handles the worker's
+	// registration must reach it, so the first registration succeeds and
+	// the worker is not quarantined until a later heartbeat.
+	srv, err := newServer(config{cacheCap: 8, metrics: fairness.NewMetricsRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.close)
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := free.Addr().String()
+	free.Close()
+
+	first := make(chan int, 1)
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/register" {
+			return // deregistration on shutdown
+		}
+		status := http.StatusOK
+		resp, err := http.Get("http://" + addr + "/v1/healthz")
+		if err != nil {
+			status = http.StatusServiceUnavailable
+		} else {
+			resp.Body.Close()
+			status = resp.StatusCode
+		}
+		select {
+		case first <- status:
+		default:
+		}
+		w.WriteHeader(status)
+		json.NewEncoder(w).Encode(map[string]int64{"ttl_ms": 60000, "heartbeat_ms": 20000})
+	}))
+	t.Cleanup(coord.Close)
+
+	// A bind that takes a while, as on a loaded host: a registration sent
+	// before the listener exists reaches the coordinator first.
+	slowListen := func(network, address string) (net.Listener, error) {
+		time.Sleep(50 * time.Millisecond)
+		return net.Listen(network, address)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, srv, config{addr: addr, register: coord.URL}, slowListen) }()
+	select {
+	case status := <-first:
+		if status != http.StatusOK {
+			t.Errorf("first registration answered %d: the worker was not serving yet", status)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("the worker never registered")
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
 	}
 }
 

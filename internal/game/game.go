@@ -142,6 +142,32 @@ func (s *State) Credit(i int, reward, stake float64) {
 	s.Stakes[i] += stake
 }
 
+// CreditN records n identical credits for miner i. The result is bit for
+// bit that of n calls of Credit(i, reward, stake): the same additions in
+// the same order, to the same reward and stake (or withheld) balances,
+// but with each running sum kept in a register rather than stored and
+// reloaded between additions.
+func (s *State) CreditN(i, n int, reward, stake float64) {
+	if n <= 0 {
+		return
+	}
+	var discard float64
+	dst := &discard // stake 0 joins no balance, as in Credit
+	switch {
+	case stake == 0:
+	case s.withholdPeriod(i) != 0:
+		dst = &s.pending[i]
+	default:
+		dst = &s.Stakes[i]
+	}
+	rw, st := s.Rewards[i], *dst
+	for k := 0; k < n; k++ {
+		rw += reward
+		st += stake
+	}
+	s.Rewards[i], *dst = rw, st
+}
+
 // EndBlock marks one block/epoch complete and releases withheld stake
 // for every miner whose withholding period divides the block count
 // (miners withholding forever never release).

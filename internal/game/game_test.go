@@ -80,6 +80,33 @@ func TestCreditZeroStakeDoesNotChangePower(t *testing.T) {
 	}
 }
 
+func TestCreditNMatchesRepeatedCredit(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"immediate":      nil,
+		"all-every-4":    {WithWithholding(4)},
+		"miner1-forever": {WithMinerWithholding(1, 0)},
+	} {
+		for _, stake := range []float64{0, 0.37} {
+			for _, n := range []int{0, 1, 7, 32} {
+				got, want := MustNew([]float64{0.3, 0.7}, opts...), MustNew([]float64{0.3, 0.7}, opts...)
+				for i := 0; i < 2; i++ {
+					got.CreditN(i, n, 0.01, stake)
+					for k := 0; k < n; k++ {
+						want.Credit(i, 0.01, stake)
+					}
+					if math.Float64bits(got.Rewards[i]) != math.Float64bits(want.Rewards[i]) ||
+						math.Float64bits(got.Stakes[i]) != math.Float64bits(want.Stakes[i]) ||
+						math.Float64bits(got.PendingStake(i)) != math.Float64bits(want.PendingStake(i)) {
+						t.Errorf("%s, stake %v, n %d, miner %d: CreditN gave (%v, %v, %v), Credit ×n (%v, %v, %v)",
+							name, stake, n, i, got.Rewards[i], got.Stakes[i], got.PendingStake(i),
+							want.Rewards[i], want.Stakes[i], want.PendingStake(i))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWithholdingReleasesAtBoundary(t *testing.T) {
 	s := MustNew(TwoMiner(0.2), WithWithholding(3))
 	for b := 0; b < 2; b++ {

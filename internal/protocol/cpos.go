@@ -47,29 +47,39 @@ func (CPoS) Name() string { return "C-PoS" }
 // Step runs one epoch. All P shard lotteries and the inflation allocation
 // use the stake distribution at the start of the epoch, matching the
 // Y_i ~ Bin(P, S_{i-1}/total) model in the paper's proofs.
+//
+// The epoch is bit-identical to P calls of r.Categorical on a copy of the
+// epoch-start stakes, each followed by st.Credit(winner, W/P, W/P), then
+// one inflation Credit per staked miner in miner order:
+//   - rng.Cumulate sums the stakes left to right once, which is exactly
+//     the total and every running sum Categorical computes per draw, and
+//     checks them with Categorical's checks and panics;
+//   - each draw takes the same u = Float64()·total from one Uint64 and
+//     picks the same index, so the generator advances identically;
+//   - no draw reads st.Stakes, and every credit adds to its own miner's
+//     reward and stake (or withheld) balance, so making miner i's k wins
+//     as k consecutive additions (State.CreditN) and then her inflation
+//     credit performs, on each balance, the same additions in the same
+//     order as interleaving them shard by shard.
 func (p CPoS) Step(st *game.State, r *rng.Rand) {
 	m := st.NumMiners()
-	// Snapshot epoch-start stakes: shard lotteries must not see
-	// intra-epoch reward effects.
-	start := make([]float64, m)
-	copy(start, st.Stakes)
-	total := 0.0
-	for _, s := range start {
-		total += s
-	}
-	// Proposer lotteries: one categorical draw per shard.
-	perShard := p.W / float64(p.P)
+	var sumsBuf [stackMiners]float64
+	var winsBuf [stackMiners]int
+	sums, wins := scratch(&sumsBuf, m), scratch(&winsBuf, m)
+	cum := rng.Cumulate(sums, st.Stakes)
+	total := sums[m-1] // > 0, or Cumulate would have panicked
 	for shard := 0; shard < p.P; shard++ {
-		winner := r.Categorical(start)
-		st.Credit(winner, perShard, perShard)
+		wins[r.Draw(&cum)]++
 	}
-	// Inflation reward, exactly proportional to epoch-start stake.
-	if p.V > 0 && total > 0 {
-		for i, s := range start {
-			if s > 0 {
-				amt := p.V * s / total
-				st.Credit(i, amt, amt)
-			}
+	perShard := p.W / float64(p.P)
+	for i, n := range wins {
+		// Still the epoch-start stake: only this iteration credits miner i.
+		s := st.Stakes[i]
+		st.CreditN(i, n, perShard, perShard)
+		// Inflation reward, exactly proportional to epoch-start stake.
+		if p.V > 0 && s > 0 {
+			amt := p.V * s / total
+			st.Credit(i, amt, amt)
 		}
 	}
 	st.EndBlock()

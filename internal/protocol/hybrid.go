@@ -42,7 +42,8 @@ func (Hybrid) Name() string { return "Hybrid" }
 func (p Hybrid) Step(st *game.State, r *rng.Rand) {
 	m := st.NumMiners()
 	totalStake := st.TotalStake()
-	weights := make([]float64, m)
+	var buf [stackMiners]float64
+	weights := scratch(&buf, m)
 	for i := 0; i < m; i++ {
 		w := p.Alpha * st.Initial[i]
 		if totalStake > 0 {

@@ -77,7 +77,8 @@ func (MLPoSKernel) Name() string { return "ML-PoS-kernel" }
 // miners).
 func (p MLPoSKernel) Step(st *game.State, r *rng.Rand) {
 	best := int64(-1)
-	var winners []int
+	var buf [stackMiners]int
+	winners := scratch(&buf, st.NumMiners())[:0]
 	for i, s := range st.Stakes {
 		prob := p.PerStakeProb * s
 		if prob <= 0 {

@@ -38,6 +38,20 @@ func Run(p Protocol, st *game.State, r *rng.Rand, n int) {
 	}
 }
 
+// stackMiners is the largest miner count whose per-step scratch lives in
+// arrays on the stepping goroutine's stack, which keeps Step free of
+// allocations; a larger game allocates its scratch on every step.
+const stackMiners = 16
+
+// scratch returns m zeroed elements: the front of buf when they fit, a
+// new heap slice otherwise.
+func scratch[T float64 | int](buf *[stackMiners]T, m int) []T {
+	if m <= len(buf) {
+		return buf[:m]
+	}
+	return make([]T, m)
+}
+
 // validateReward panics on a non-positive block reward. Constructors call
 // it so that a mis-configured experiment fails loudly at set-up time
 // rather than producing silently meaningless fairness numbers.

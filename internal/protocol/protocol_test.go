@@ -385,6 +385,24 @@ func TestAllProtocolsKeepInvariants(t *testing.T) {
 	}
 }
 
+func TestStepsDoNotAllocate(t *testing.T) {
+	protos := []Protocol{
+		NewPoW(0.01), NewMLPoS(0.01), NewMLPoSKernel(0.01, 0.001),
+		NewSLPoS(0.01), NewFSLPoS(0.01), NewCPoS(0.01, 0.1, 32),
+		NewNEO(0.01), NewAlgorand(0.1), NewEOS(0.01, 0.1), NewWave(0.01),
+		NewHybrid(0.01, 0.5),
+	}
+	for _, m := range []int{2, 10} {
+		for _, p := range protos {
+			st := game.MustNew(game.LeaderAndPack(0.2, m))
+			r := rng.New(28)
+			if n := testing.AllocsPerRun(200, func() { p.Step(st, r) }); n != 0 {
+				t.Errorf("%s at m=%d: %v allocations per step, want 0", p.Name(), m, n)
+			}
+		}
+	}
+}
+
 func TestProtocolNames(t *testing.T) {
 	want := map[string]Protocol{
 		"PoW":           NewPoW(1),

@@ -235,18 +235,16 @@ func (r *Rand) Normal() float64 {
 // Categorical returns an index drawn with probability weights[i]/sum(weights).
 // Weights must be non-negative with a positive sum; it panics otherwise.
 // A linear scan is used: the simulations draw from small weight vectors
-// (2–10 miners), where scanning beats alias-table setup.
+// (2–10 miners), where scanning beats alias-table setup. For several
+// draws from one weight vector, Cumulate it once and call Draw: each draw
+// returns what Categorical would, without re-validating and re-summing.
 func (r *Rand) Categorical(weights []float64) int {
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: Categorical with negative or NaN weight at index " + itoa(i))
-		}
+		checkWeight(i, w)
 		total += w
 	}
-	if total <= 0 {
-		panic("rng: Categorical with non-positive total weight")
-	}
+	checkTotal(total)
 	u := r.Float64() * total
 	acc := 0.0
 	for i, w := range weights {
@@ -256,12 +254,86 @@ func (r *Rand) Categorical(weights []float64) int {
 		}
 	}
 	// Floating-point slack: fall back to the last positive weight.
+	return lastPositive(weights)
+}
+
+func checkWeight(i int, w float64) {
+	if w < 0 || math.IsNaN(w) {
+		badWeight(i)
+	}
+}
+
+// badWeight stays out of line so that checkWeight inlines into the
+// validation loops.
+//
+//go:noinline
+func badWeight(i int) {
+	panic("rng: Categorical with negative or NaN weight at index " + itoa(i))
+}
+
+func checkTotal(total float64) {
+	if total <= 0 {
+		panic("rng: Categorical with non-positive total weight")
+	}
+}
+
+func lastPositive(weights []float64) int {
 	for i := len(weights) - 1; i >= 0; i-- {
 		if weights[i] > 0 {
 			return i
 		}
 	}
 	return len(weights) - 1
+}
+
+// Cumulative is a weight vector prepared by Cumulate for repeated
+// categorical draws.
+type Cumulative struct {
+	// head holds all running sums but the last: head[i] = weights[0] +
+	// … + weights[i], added left to right like Categorical's acc.
+	head []float64
+	// total is the last running sum, Categorical's total.
+	total float64
+	// last is Categorical's fallback draw, the last positive weight.
+	last int
+}
+
+// Cumulate validates weights exactly as Categorical does, panicking with
+// the same messages, and writes their running sums into buf, which must
+// hold len(weights) values. The result reads buf, so buf must not be
+// reused while the result is; weights may change without affecting it.
+func Cumulate(buf, weights []float64) Cumulative {
+	sums := buf[:len(weights)]
+	acc := 0.0
+	for i, w := range weights {
+		checkWeight(i, w)
+		acc += w
+		sums[i] = acc
+	}
+	checkTotal(acc)
+	return Cumulative{head: sums[:len(sums)-1], total: acc, last: lastPositive(weights)}
+}
+
+// Draw returns the index r.Categorical(weights) would return for the
+// weights c was cumulated from, consuming the same single Uint64.
+//
+// Categorical returns the first i whose running sum exceeds u. Running
+// sums never decrease, so when u < total that index is the number of
+// running sums before the last that are ≤ u, which Draw counts without a
+// data-dependent branch. Otherwise (u ≥ total, or NaN from an infinite
+// total) both fall back to the last positive weight.
+func (r *Rand) Draw(c *Cumulative) int {
+	u := r.Float64() * c.total
+	if !(u < c.total) {
+		return c.last
+	}
+	i := 0
+	for _, s := range c.head {
+		if s <= u {
+			i++
+		}
+	}
+	return i
 }
 
 // Perm returns a random permutation of [0, n).

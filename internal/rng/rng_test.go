@@ -315,6 +315,72 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+func TestDrawMatchesCategorical(t *testing.T) {
+	const tiny = 5e-324 // smallest subnormal
+	fixed := [][]float64{
+		{1},
+		{0, 1, 2},              // zero weight first
+		{3, 0, 0, 1},           // zero weights in the middle
+		{1, 2, 0},              // zero weight last
+		{0, tiny, 0},           // subnormal total: u can round up to it
+		{tiny, tiny},           // and fall back to the last positive weight
+		{tiny, 1e-310, 0, 0.5}, // subnormals below a normal weight
+		{1, math.Inf(1), 2},    // infinite total: every draw falls back
+		{1e300, 1e300, 0},      // large, with a zero after them
+		{0.2, 0.8},
+	}
+	shapes := New(77)
+	for k := 0; k < 200; k++ {
+		w := make([]float64, 1+shapes.Intn(12))
+		for i := range w {
+			switch shapes.Intn(5) {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = tiny * float64(1+shapes.Intn(1000))
+			default:
+				w[i] = shapes.Float64()
+			}
+		}
+		w[shapes.Intn(len(w))] += 0.1 // a positive total
+		fixed = append(fixed, w)
+	}
+	buf := make([]float64, 12)
+	for k, w := range fixed {
+		seed := uint64(k + 1)
+		got, want := New(seed), New(seed)
+		c := Cumulate(buf, w)
+		for d := 0; d < 500; d++ {
+			if g, wt := got.Draw(&c), want.Categorical(w); g != wt {
+				t.Fatalf("weights %v, draw %d: Draw = %d, Categorical = %d", w, d, g, wt)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("weights %v: generators diverged", w)
+		}
+	}
+}
+
+func TestCumulatePanicsLikeCategorical(t *testing.T) {
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for name, w := range map[string][]float64{
+		"negative":   {1, 2, -1},
+		"nan":        {1, math.NaN(), 1},
+		"zero-total": {0, 0},
+		"empty":      {},
+	} {
+		want := panicOf(func() { New(1).Categorical(w) })
+		got := panicOf(func() { Cumulate(make([]float64, len(w)), w) })
+		if want == nil || got != want {
+			t.Errorf("%s: Cumulate panicked with %v, Categorical with %v", name, got, want)
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(61)
 	p := r.Perm(50)

@@ -167,11 +167,15 @@ func ProtocolNames() []string {
 	return []string{"pow", "mlpos", "slpos", "fslpos", "cpos", "neo", "algorand", "eos", "hybrid"}
 }
 
+// protocolSeparators strips the separators CanonicalProtocol ignores. A
+// Replacer is safe for concurrent use, and building one costs more than
+// applying it, so every call shares this one.
+var protocolSeparators = strings.NewReplacer("-", "", "_", "", " ", "")
+
 // CanonicalProtocol lower-cases a protocol name and strips separators, so
 // "ML-PoS", "ml_pos" and "mlpos" all canonicalise to "mlpos".
 func CanonicalProtocol(name string) string {
-	r := strings.NewReplacer("-", "", "_", "", " ", "")
-	return r.Replace(strings.ToLower(name))
+	return protocolSeparators.Replace(strings.ToLower(name))
 }
 
 // Normalized returns the canonical form of the spec: defaults applied,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,6 +35,25 @@ func TestNormalizedDefaults(t *testing.T) {
 	if h.Alpha != 0.5 {
 		t.Errorf("hybrid alpha = %v", h.Alpha)
 	}
+}
+
+func TestCanonicalProtocolFromManyGoroutines(t *testing.T) {
+	want := map[string]string{
+		"ML-PoS": "mlpos", "ml_pos": "mlpos", "C PoS": "cpos", "FSL-PoS": "fslpos", "pow": "pow",
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for in, out := range want {
+				if got := CanonicalProtocol(in); got != out {
+					t.Errorf("CanonicalProtocol(%q) = %q, want %q", in, got, out)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestJSONRoundTrip(t *testing.T) {
