@@ -235,6 +235,17 @@ func TestDiskCacheSharedAcrossDaemonRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read through the done line: the sweep runs on the request's
+	// context, so hanging up early can leave a scenario uncomputed and
+	// uncached.
+	dec1 := json.NewDecoder(resp.Body)
+	for done := false; !done; {
+		var line outcomeLine
+		if err := dec1.Decode(&line); err != nil {
+			t.Fatalf("first daemon's sweep stream: %v", err)
+		}
+		done = line.Done != nil
+	}
 	resp.Body.Close()
 	ts1.Close()
 

@@ -428,31 +428,24 @@ func (rg *Registrar) post(ctx context.Context, path string, body []byte) (*http.
 // announces itself). Registration failures are reported through OnError
 // and retried on the next beat — a coordinator that boots late still
 // picks the worker up.
+//
+// A beat in flight when ctx ends runs to completion (within post's
+// timeout) before the deregister: abandoned, it could still land after
+// the deregister and keep the exited worker live until its lease lapsed.
 func (rg *Registrar) Run(ctx context.Context) {
 	interval := rg.Interval
 	if interval <= 0 {
 		interval = defaultRegistryTTL / heartbeatPerTTL
 	}
-	registered := false
+	beatCtx := context.WithoutCancel(ctx)
 	for {
-		suggested, err := rg.register(ctx)
+		suggested, err := rg.register(beatCtx)
 		if err != nil {
-			if ctx.Err() != nil {
-				// Cancelled mid-beat: still announce the shutdown if any
-				// earlier beat landed.
-				if registered {
-					rg.deregister()
-				}
-				return
-			}
 			if rg.OnError != nil {
 				rg.OnError(err)
 			}
-		} else {
-			registered = true
-			if rg.Interval <= 0 && suggested > 0 {
-				interval = suggested
-			}
+		} else if rg.Interval <= 0 && suggested > 0 {
+			interval = suggested
 		}
 		select {
 		case <-ctx.Done():

@@ -272,6 +272,64 @@ func TestRegistrarHeartbeatsAndDeregisters(t *testing.T) {
 	}
 }
 
+func TestRegistrarShutdownMidBeatLeavesNoMember(t *testing.T) {
+	// A heartbeat in flight when the registrar's context ends must not
+	// land after its deregister: the coordinator would count the exited
+	// worker live until its lease lapsed.
+	reg := NewRegistry("montecarlo", time.Minute)
+	inner := http.NewServeMux()
+	NewRegistryServer(reg).Register(inner)
+	ctx, cancel := context.WithCancel(context.Background())
+	held, heldDone := make(chan struct{}), make(chan struct{})
+	var beats atomic.Int64
+	mux := http.NewServeMux()
+	mux.Handle("/", inner)
+	mux.HandleFunc("POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
+		if beats.Add(1) == 2 {
+			// Hold the second beat until the registrar is cancelled, then
+			// let it land late.
+			defer close(heldDone)
+			close(held)
+			<-ctx.Done()
+			time.Sleep(100 * time.Millisecond)
+		}
+		inner.ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	done := make(chan struct{})
+	rg := &Registrar{
+		Coordinator: ts.URL,
+		Self:        "http://worker:7447",
+		Backend:     "montecarlo",
+		Interval:    10 * time.Millisecond,
+	}
+	go func() {
+		defer close(done)
+		rg.Run(ctx)
+	}()
+	select {
+	case <-held:
+	case <-time.After(2 * time.Second):
+		t.Fatal("second heartbeat never arrived")
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("registrar did not stop after cancel")
+	}
+	select {
+	case <-heldDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("held heartbeat never finished")
+	}
+	if live := reg.Live(); len(live) != 0 {
+		t.Errorf("worker live after its registrar returned: %+v", live)
+	}
+}
+
 func TestRegistrarSurvivesAbsentCoordinator(t *testing.T) {
 	// A worker that boots before its coordinator must keep retrying, not
 	// exit — the coordinator picks it up on a later beat.

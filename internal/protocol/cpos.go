@@ -54,8 +54,9 @@ func (CPoS) Name() string { return "C-PoS" }
 //   - rng.Cumulate sums the stakes left to right once, which is exactly
 //     the total and every running sum Categorical computes per draw, and
 //     checks them with Categorical's checks and panics;
-//   - each draw takes the same u = Float64()·total from one Uint64 and
-//     picks the same index, so the generator advances identically;
+//   - one Tally of P draws takes, for each draw, the same
+//     u = Float64()·total from one Uint64 and picks the same index, so the
+//     generator advances identically;
 //   - no draw reads st.Stakes, and every credit adds to its own miner's
 //     reward and stake (or withheld) balance, so making miner i's k wins
 //     as k consecutive additions (State.CreditN) and then her inflation
@@ -68,9 +69,7 @@ func (p CPoS) Step(st *game.State, r *rng.Rand) {
 	sums, wins := scratch(&sumsBuf, m), scratch(&winsBuf, m)
 	cum := rng.Cumulate(sums, st.Stakes)
 	total := sums[m-1] // > 0, or Cumulate would have panicked
-	for shard := 0; shard < p.P; shard++ {
-		wins[r.Draw(&cum)]++
-	}
+	r.Tally(&cum, p.P, wins)
 	perShard := p.W / float64(p.P)
 	for i, n := range wins {
 		// Still the epoch-start stake: only this iteration credits miner i.

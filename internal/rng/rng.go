@@ -9,14 +9,38 @@
 // public domain and implemented here from the reference descriptions.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator.
 //
 // It is NOT safe for concurrent use; give each goroutine its own Rand
 // (see Split and Stream).
 type Rand struct {
-	s [4]uint64
+	s xoshiro
+}
+
+// xoshiro is the xoshiro256++ state. It is four named words rather than
+// a [4]uint64 because Go keeps a local struct of up to four scalars in
+// registers, and an array on the stack.
+type xoshiro struct{ s0, s1, s2, s3 uint64 }
+
+// next returns the state after one xoshiro256++ step and the step's
+// output. It is the only copy of the update; Uint64 and Tally share it.
+// It is a value method so that a caller looping over a local copy of the
+// state keeps all four words in registers.
+func (x xoshiro) next() (xoshiro, uint64) {
+	out := bits.RotateLeft64(x.s0+x.s3, 23) + x.s0
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return x, out
 }
 
 // New returns a generator seeded from the given seed. Two generators built
@@ -32,35 +56,28 @@ func New(seed uint64) *Rand {
 // small or sequential seeds.
 func (r *Rand) Seed(seed uint64) {
 	sm := seed
-	for i := range r.s {
+	var w [4]uint64
+	for i := range w {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		r.s[i] = z
+		w[i] = z
 	}
+	r.s = xoshiro{w[0], w[1], w[2], w[3]}
 	// A state of all zeros is the one forbidden state of xoshiro; the
 	// SplitMix64 outputs cannot all be zero for any seed, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s == (xoshiro{}) {
+		r.s.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[0]+s[3], 23) + s[0]
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var out uint64
+	r.s, out = r.s.next()
+	return out
 }
 
 // Split derives an independent generator from the current one. The child
@@ -205,10 +222,23 @@ func (r *Rand) Binomial(n int, p float64) int {
 // pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p) until the target CDF mass is
 // covered. Expected work is O(np), acceptable for the moderate np this
 // repository uses.
+//
+// The walk starts at pmf(0) = (1-p)^n. Where that underflows to 0 the CDF
+// would never grow, so n is cut into pieces whose (1-p)^piece is at least
+// e^-700 and the pieces' independent draws are summed, which is again
+// Binomial(n, p).
 func (r *Rand) binomialInversion(n int, p float64) int {
 	q := 1 - p
-	u := r.Float64()
 	pmf := math.Pow(q, float64(n))
+	if pmf == 0 {
+		piece := int(700 / -math.Log(q))
+		k := 0
+		for ; n > piece; n -= piece {
+			k += r.binomialInversion(piece, p)
+		}
+		return k + r.binomialInversion(n, p)
+	}
+	u := r.Float64()
 	cdf := pmf
 	ratio := p / q
 	k := 0
@@ -236,8 +266,9 @@ func (r *Rand) Normal() float64 {
 // Weights must be non-negative with a positive sum; it panics otherwise.
 // A linear scan is used: the simulations draw from small weight vectors
 // (2–10 miners), where scanning beats alias-table setup. For several
-// draws from one weight vector, Cumulate it once and call Draw: each draw
-// returns what Categorical would, without re-validating and re-summing.
+// draws from one weight vector, Cumulate it once and count the draws with
+// Tally: each draw picks what Categorical would, without re-validating
+// and re-summing.
 func (r *Rand) Categorical(weights []float64) int {
 	total := 0.0
 	for i, w := range weights {
@@ -287,7 +318,7 @@ func lastPositive(weights []float64) int {
 }
 
 // Cumulative is a weight vector prepared by Cumulate for repeated
-// categorical draws.
+// categorical draws with Tally.
 type Cumulative struct {
 	// head holds all running sums but the last: head[i] = weights[0] +
 	// … + weights[i], added left to right like Categorical's acc.
@@ -314,26 +345,45 @@ func Cumulate(buf, weights []float64) Cumulative {
 	return Cumulative{head: sums[:len(sums)-1], total: acc, last: lastPositive(weights)}
 }
 
-// Draw returns the index r.Categorical(weights) would return for the
-// weights c was cumulated from, consuming the same single Uint64.
+// Tally makes n categorical draws from the weights c was cumulated from
+// and adds one to wins[i] for each draw of index i. It consumes the same
+// n Uint64s and picks the same indices as n calls of
+// r.Categorical(weights); wins must have len(weights) entries.
 //
 // Categorical returns the first i whose running sum exceeds u. Running
 // sums never decrease, so when u < total that index is the number of
-// running sums before the last that are ≤ u, which Draw counts without a
+// running sums before the last that are ≤ u, which Tally counts without a
 // data-dependent branch. Otherwise (u ≥ total, or NaN from an infinite
 // total) both fall back to the last positive weight.
-func (r *Rand) Draw(c *Cumulative) int {
-	u := r.Float64() * c.total
-	if !(u < c.total) {
-		return c.last
-	}
-	i := 0
-	for _, s := range c.head {
-		if s <= u {
-			i++
+func (r *Rand) Tally(c *Cumulative, n int, wins []int) {
+	r.s = tally(r.s, c, n, wins)
+}
+
+// tally is Tally on a state passed and returned by value. As a method
+// the loop re-reads the generator through r on every comparison; as a
+// function the compiler keeps the state, u and the count in registers
+// from the first draw to the last.
+func tally(x xoshiro, c *Cumulative, n int, wins []int) xoshiro {
+	head, total, last := c.head, c.total, c.last
+	for ; n > 0; n-- {
+		var out uint64
+		x, out = x.next()
+		u := float64(out>>11) / (1 << 53) * total // Float64() * total
+		i := last
+		if u < total {
+			i = 0
+			for _, h := range head {
+				// Not "if h <= u { i++ }": that compiles to a jump.
+				b := 0
+				if h <= u {
+					b = 1
+				}
+				i += b
+			}
 		}
+		wins[i]++
 	}
-	return i
+	return x
 }
 
 // Perm returns a random permutation of [0, n).
