@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, one bench target per exhibit (see DESIGN.md §4), plus
+// evaluation, one bench target per internal/experiments exhibit, plus
 // micro-benchmarks of the protocol inner loops and the chainsim engines.
 //
 // Exhibit benches run a reduced-size configuration per iteration and
@@ -236,11 +236,9 @@ func BenchmarkSweepColdCache(b *testing.B) {
 	metrics := fairness.NewMetricsRegistry()
 	var perSec, hits float64
 	for i := 0; i < b.N; i++ {
-		rep, err := fairness.Sweep(specs, fairness.SweepOptions{
-			Cache:     fairness.NewSweepCache(len(specs)),
-			Metrics:   metrics,
-			Evaluator: ev,
-		})
+		eng := fairness.NewEngine(fairness.WithCache(fairness.NewSweepCache(len(specs))),
+			fairness.WithTelemetry(metrics, nil), fairness.WithBackend(ev))
+		rep, err := eng.Sweep(context.Background(), specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,14 +263,15 @@ func BenchmarkSweepColdCache(b *testing.B) {
 func BenchmarkSweepWarmCache(b *testing.B) {
 	specs := sweepBenchSpecs(b)
 	cache := fairness.NewSweepCache(len(specs))
-	if _, err := fairness.Sweep(specs, fairness.SweepOptions{Cache: cache}); err != nil {
+	if _, err := fairness.NewEngine(fairness.WithCache(cache)).Sweep(context.Background(), specs); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	metrics := fairness.NewMetricsRegistry()
+	eng := fairness.NewEngine(fairness.WithCache(cache), fairness.WithTelemetry(metrics, nil))
 	var perSec, hits float64
 	for i := 0; i < b.N; i++ {
-		rep, err := fairness.Sweep(specs, fairness.SweepOptions{Cache: cache, Metrics: metrics})
+		rep, err := eng.Sweep(context.Background(), specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -422,7 +421,7 @@ func BenchmarkTheoryBounds(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ------------------------------------------
+// --- Ablations ------------------------------------------------------------
 
 func BenchmarkAblationShards(b *testing.B)      { runExhibit(b, "ablation-shards", "unfair_P32") }
 func BenchmarkAblationWithhold(b *testing.B)    { runExhibit(b, "ablation-withhold", "unfair_K1000") }

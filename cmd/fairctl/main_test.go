@@ -388,7 +388,7 @@ func TestSubmitWaitResultsMatchesLocalSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := fairness.Sweep(specs, fairness.SweepOptions{})
+	local, err := fairness.NewEngine().Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestCancelKeepsPartialResults(t *testing.T) {
 	started := make(chan struct{})
 	runner := func(ctx context.Context, specs []fairness.Scenario,
 		gate fairness.ClusterDispatchGate, cache fairness.CacheStore) (*fairness.SweepReport, error) {
-		rep, err := fairness.Sweep(specs[:1], fairness.SweepOptions{})
+		rep, err := fairness.NewEngine().Sweep(context.Background(), specs[:1])
 		if err != nil {
 			return nil, err
 		}

@@ -539,9 +539,19 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// readBody slurps a bounded request body. When it cannot, it answers
+// 413 for a body over maxBodyBytes and 400 otherwise, and returns false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err)
+		return nil, false
+	}
+	return body, true
 }
 
 // handleEvaluate answers one scenario through the shared Engine: cache
@@ -549,9 +559,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // backend produced it.
 func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.evaluates.Inc()
-	body, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	spec, err := scenario.Decode(body)
@@ -587,9 +596,8 @@ type sweepSummary struct {
 // dropped connection stops computing within one scenario.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps.Inc()
-	body, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	specs, err := decodeSpecs(body)

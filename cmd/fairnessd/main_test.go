@@ -97,6 +97,22 @@ func TestEvaluateEndpointRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+func TestOverLimitBodiesAre413(t *testing.T) {
+	_, ts := testServer(t, config{})
+	body := `{"protocol":"pow","stake":0.2,"blocks":100,"trials":5}`
+	body += strings.Repeat(" ", maxBodyBytes+1-len(body))
+	for _, path := range []string{"/v1/evaluate", "/v1/sweep"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}
+
 func TestSweepEndpointStreamsNDJSON(t *testing.T) {
 	_, ts := testServer(t, config{cacheCap: 64})
 	grid := `{"base":{"blocks":150,"trials":15,"seed":5},"protocols":["pow","mlpos"],"stake":[0.2,0.3]}`
@@ -684,7 +700,7 @@ func TestJobServiceLocalModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := fairness.Sweep(specs, fairness.SweepOptions{})
+	local, err := fairness.NewEngine().Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +772,7 @@ func TestJobServiceClusterModeDispatchesOverRegisteredWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := fairness.Sweep(specs, fairness.SweepOptions{})
+	local, err := fairness.NewEngine().Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -92,10 +93,10 @@ func verdictsCmd(args []string) error {
 	}
 	tb := table.New("Protocol", "E[lambda]", "Expectational", "Unfair prob", "Robust").
 		AlignAll(table.Right).SetAlign(0, table.Left)
+	eng := fairness.NewEngine()
 	for _, p := range protos {
-		v, err := fairness.Evaluate(p, fairness.TwoMiner(*share), fairness.EvalConfig{
-			Trials: *trials, Blocks: *blocks, Seed: *seed,
-		})
+		v, err := eng.Evaluate(context.Background(), p, fairness.TwoMiner(*share),
+			fairness.WithTrials(*trials), fairness.WithBlocks(*blocks), fairness.WithSeed(*seed))
 		if err != nil {
 			return err
 		}

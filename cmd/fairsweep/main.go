@@ -22,17 +22,17 @@
 //	                name:key=val,... entries over the registered strategies
 //	                (honest, selfish, selfish-delay, withhold); one grid
 //	                expansion per entry
-//	-selfish N      deviating miner index for -strategy; alone it is the
-//	                deprecated synonym for "-strategy selfish" on miner N
-//	-gamma CSV      deprecated synonym: network-advantage axis over the
-//	                -strategy/-selfish adversary
+//	-selfish N      deviating miner index for -strategy; alone it runs
+//	                "-strategy selfish" on miner N
+//	-gamma CSV      network-advantage axis over the -strategy/-selfish
+//	                adversary; each value names its own cell (.../g=0.5)
 //	-fork-rate CSV  network fork-rate axis (pow only; 0 = honest cell)
 //	-blocks N       horizon in blocks/epochs (default 5000)
 //	-trials N       Monte-Carlo trials per scenario (default 1000)
 //	-checkpoints N  record λ at N linear checkpoints (default: final only)
 //	-seed S         sweep base seed; per-scenario seeds derive from it
 //	                (grids only — explicit scenario arrays keep their own
-//	                seeds, exactly as fairness.Sweep would)
+//	                seeds, exactly as Engine.Sweep would)
 //
 // Run flags:
 //
@@ -205,8 +205,8 @@ func addGridFlags(fs *flag.FlagSet) *gridFlags {
 		miners:      fs.String("miners", "2", "miner-count axis (CSV)"),
 		withhold:    fs.String("withhold", "", "withholding-period axis (CSV)"),
 		strategy:    fs.String("strategy", "", "adversary strategy axis: semicolon-separated name:key=val,... entries (e.g. 'honest;selfish:g=0.5;withhold:e=100')"),
-		selfish:     fs.Int("selfish", -1, "deviating miner index (with -strategy); alone: deprecated synonym for -strategy selfish on miner N (-1 = off)"),
-		gamma:       fs.String("gamma", "", "deprecated synonym: network-advantage axis over the -strategy/-selfish adversary (CSV)"),
+		selfish:     fs.Int("selfish", -1, "deviating miner index (with -strategy); alone: -strategy selfish on miner N (-1 = off)"),
+		gamma:       fs.String("gamma", "", "network-advantage axis over the -strategy/-selfish adversary (CSV)"),
 		forkRate:    fs.String("fork-rate", "", "network fork-rate axis (CSV, pow only; 0 = honest cell)"),
 		blocks:      fs.Int("blocks", 5000, "horizon in blocks/epochs"),
 		trials:      fs.Int("trials", 1000, "Monte-Carlo trials per scenario"),
@@ -216,11 +216,11 @@ func addGridFlags(fs *flag.FlagSet) *gridFlags {
 }
 
 // adversaries resolves the -strategy/-selfish/-gamma flags into the
-// adversary blocks to sweep: one grid expansion per entry. -strategy is
-// the canonical spelling; -selfish N doubles as the deviating-miner
-// index and, alone, as the deprecated synonym for "-strategy selfish";
-// -gamma stays the grid's network-advantage axis over whichever
-// adversary is selected.
+// adversary blocks to sweep: one grid expansion per entry. -selfish N
+// is the deviating-miner index and, alone, selects "-strategy selfish"
+// on that miner; -gamma is the grid's network-advantage axis over
+// whichever adversary is selected, and the only flag spelling whose γ
+// values name their cells.
 func (g *gridFlags) adversaries() ([]*scenario.Adversary, error) {
 	miner := 0
 	if *g.selfish >= 0 {
@@ -259,7 +259,7 @@ func (g *gridFlags) specs() ([]scenario.Spec, error) {
 			return nil, err
 		}
 		// Explicit scenario arrays are taken verbatim — seeds and all —
-		// so the CLI computes exactly what fairness.Sweep would for the
+		// so the CLI computes exactly what Engine.Sweep would for the
 		// same document (-seed applies to grids only).
 		return scenario.DecodeSpecsOrGrid(data, *g.seed)
 	}
@@ -824,7 +824,7 @@ commands:
 
 grid flags:
   -spec FILE  -protocols CSV  -w CSV  -stake CSV  -miners CSV  -withhold CSV
-  -strategy LIST  -selfish N (deprecated alone)  -gamma CSV (deprecated)
+  -strategy LIST  -selfish N  -gamma CSV
   -fork-rate CSV  -blocks N  -trials N  -checkpoints N  -seed S
 
 run flags:

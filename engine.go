@@ -25,8 +25,8 @@ import (
 // a run promptly: Sweep returns the partial report it finished together
 // with ctx.Err().
 //
-// The zero-configuration NewEngine() reproduces the library's historical
-// behaviour exactly: Monte-Carlo backend, no cache, GOMAXPROCS workers.
+// The zero-configuration NewEngine() runs the Monte-Carlo backend with
+// no cache on GOMAXPROCS workers.
 // An Engine is safe for concurrent use when its cache and observer are
 // (both shipped CacheStore implementations are).
 type Engine struct {
@@ -356,17 +356,15 @@ func (e *Engine) Arena(ctx context.Context, s Scenario, cfg ArenaConfig) (SweepO
 // assess (empty, or no positive total).
 var ErrInvalidAllocation = errors.New("fairness: invalid initial allocation")
 
-// evalSettings carries Engine.Evaluate's resolved run parameters.
-// Explicitly-set zero values are honoured — unlike the deprecated
-// EvalConfig, where zero always meant "default".
+// evalSettings carries Engine.Evaluate's resolved run parameters. It
+// starts from the defaults, so an option that sets a zero value is
+// honoured.
 type evalSettings struct {
-	trials    int
-	blocks    int
-	seed      uint64
-	seedSet   bool
-	params    Params
-	paramsSet bool
-	withhold  int
+	trials   int
+	blocks   int
+	seed     uint64
+	params   Params
+	withhold int
 }
 
 // EvalOption configures one Engine.Evaluate run.
@@ -382,18 +380,17 @@ func WithBlocks(n int) EvalOption {
 	return func(s *evalSettings) { s.blocks = n }
 }
 
-// WithSeed sets the base RNG seed. Unlike the deprecated EvalConfig,
-// WithSeed(0) really does run seed 0 — unset defaults to 1.
+// WithSeed sets the base RNG seed. WithSeed(0) runs seed 0; unset, the
+// seed is 1.
 func WithSeed(seed uint64) EvalOption {
-	return func(s *evalSettings) { s.seed, s.seedSet = seed, true }
+	return func(s *evalSettings) { s.seed = seed }
 }
 
-// WithFairnessParams sets the robust-fairness (ε, δ). Unlike the
-// deprecated EvalConfig, a literal zero Params is honoured (ε = 0
-// collapses the fair area to the point {a}) — unset defaults to
-// DefaultParams.
+// WithFairnessParams sets the robust-fairness (ε, δ). A literal zero
+// Params is honoured (ε = 0 collapses the fair area to the point {a});
+// unset, the parameters are DefaultParams.
 func WithFairnessParams(p Params) EvalOption {
-	return func(s *evalSettings) { s.params, s.paramsSet = p, true }
+	return func(s *evalSettings) { s.params = p }
 }
 
 // WithWithholding applies the Section 6.3 reward-withholding treatment
@@ -414,8 +411,8 @@ func WithWithholding(k int) EvalOption {
 // question as a Scenario and call EvaluateScenario.
 //
 // Defaults: 1000 trials, 5000 blocks, seed 1, DefaultParams. Options
-// distinguish unset from zero — WithSeed(0) and a zero WithFairnessParams
-// are both expressible, which the deprecated EvalConfig could not say.
+// distinguish unset from zero: WithSeed(0) and a zero WithFairnessParams
+// are both honoured.
 func (e *Engine) Evaluate(ctx context.Context, p Protocol, initial []float64, opts ...EvalOption) (Verdict, error) {
 	s := evalSettings{trials: 1000, blocks: 5000, seed: 1, params: DefaultParams}
 	for _, opt := range opts {

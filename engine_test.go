@@ -17,14 +17,10 @@ import (
 )
 
 // TestEvaluateEmptyAllocationRegression is the regression test for the
-// empty/nil-initial crash path: both the deprecated wrapper and the
-// Engine must return a validation error, never panic or surface an
-// internal config error.
+// empty/nil-initial crash path: Engine.Evaluate must return a validation
+// error, never panic or surface an internal config error.
 func TestEvaluateEmptyAllocationRegression(t *testing.T) {
 	for _, initial := range [][]float64{nil, {}} {
-		if _, err := Evaluate(NewPoW(0.01), initial, EvalConfig{}); !errors.Is(err, ErrInvalidAllocation) {
-			t.Errorf("Evaluate(%v) err = %v, want ErrInvalidAllocation", initial, err)
-		}
 		_, err := NewEngine().Evaluate(context.Background(), NewPoW(0.01), initial)
 		if !errors.Is(err, ErrInvalidAllocation) {
 			t.Errorf("Engine.Evaluate(%v) err = %v, want ErrInvalidAllocation", initial, err)
@@ -36,27 +32,9 @@ func TestEvaluateEmptyAllocationRegression(t *testing.T) {
 	}
 }
 
-func TestEngineEvaluateMatchesDeprecatedWrapper(t *testing.T) {
-	// The wrapper's contract: bit-identical verdicts through the Engine.
-	cfg := EvalConfig{Trials: 200, Blocks: 1000, Seed: 9}
-	old, err := Evaluate(NewMLPoS(0.01), TwoMiner(0.2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine().Evaluate(context.Background(), NewMLPoS(0.01), TwoMiner(0.2),
-		WithTrials(200), WithBlocks(1000), WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != eng {
-		t.Errorf("wrapper %+v != engine %+v", old, eng)
-	}
-}
-
 func TestEngineSeedZeroIsDistinctFromUnset(t *testing.T) {
-	// The satellite contract: the option API distinguishes unset from
-	// zero. EvalConfig{Seed: 0} historically meant seed 1; WithSeed(0)
-	// must actually run seed 0.
+	// The option API distinguishes unset from zero: unset means seed 1,
+	// and WithSeed(0) must actually run seed 0.
 	eng := NewEngine()
 	ctx := context.Background()
 	p := func() Protocol { return NewMLPoS(0.1) }
@@ -82,8 +60,8 @@ func TestEngineSeedZeroIsDistinctFromUnset(t *testing.T) {
 
 func TestEngineZeroFairnessParamsHonoured(t *testing.T) {
 	// ε = 0 collapses the fair area to the single point {a}: continuous
-	// protocols are then (almost) never fair — a verdict unreachable
-	// through the zero-means-default EvalConfig.
+	// protocols are then (almost) never fair. A zero Params must be
+	// honoured, not read as "use DefaultParams".
 	v, err := NewEngine().Evaluate(context.Background(), NewMLPoS(0.01), TwoMiner(0.2),
 		WithTrials(100), WithBlocks(300), WithFairnessParams(Params{Eps: 0, Delta: 0}))
 	if err != nil {
@@ -100,31 +78,6 @@ func TestEngineEvaluateCancelled(t *testing.T) {
 	_, err := NewEngine().Evaluate(ctx, NewPoW(0.01), TwoMiner(0.2))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestEngineSweepMatchesDeprecatedSweep(t *testing.T) {
-	specs, err := ExpandScenarios(ScenarioGrid{
-		Base:      Scenario{Blocks: 400, Trials: 60, Seed: 2},
-		Protocols: []string{"pow", "mlpos"},
-		Stake:     []float64{0.2, 0.3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Sweep(specs, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewEngine().Sweep(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range old.Outcomes {
-		if old.Outcomes[i].Verdict != rep.Outcomes[i].Verdict ||
-			old.Outcomes[i].Equitability != rep.Outcomes[i].Equitability {
-			t.Errorf("outcome %d differs between Sweep and Engine.Sweep", i)
-		}
 	}
 }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,11 +39,12 @@ func main() {
 		{0.001, 0.1, 32},
 	}
 	var chosen *design
+	eng := fairness.NewEngine()
 	for i := range candidates {
 		d := candidates[i]
 		ok := fairness.CPoSSufficient(epochs, d.w, d.v, d.p, a, pr)
-		v, err := fairness.Evaluate(fairness.NewCPoS(d.w, d.v, d.p), fairness.TwoMiner(a),
-			fairness.EvalConfig{Trials: 600, Blocks: epochs, Seed: 11})
+		v, err := eng.Evaluate(context.Background(), fairness.NewCPoS(d.w, d.v, d.p), fairness.TwoMiner(a),
+			fairness.WithTrials(600), fairness.WithBlocks(epochs), fairness.WithSeed(11))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ func main() {
 	// Miner A holds 20% of the initial resource; B holds the rest —
 	// the paper's canonical two-miner game (Section 3.1).
 	initial := fairness.TwoMiner(0.2)
-	cfg := fairness.EvalConfig{Trials: 800, Blocks: 4000, Seed: 42}
+	eng := fairness.NewEngine()
 
 	fmt.Println("Fairness of blockchain incentives (a = 0.2, w = 0.01, v = 0.1):")
 	fmt.Println()
@@ -25,7 +26,8 @@ func main() {
 		fairness.NewSLPoS(0.01),
 		fairness.NewCPoS(0.01, 0.1, 32),
 	} {
-		v, err := fairness.Evaluate(p, initial, cfg)
+		v, err := eng.Evaluate(context.Background(), p, initial,
+			fairness.WithTrials(800), fairness.WithBlocks(4000), fairness.WithSeed(42))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 	}
 	cps := montecarlo.LogCheckpoints(blocks, 20)
 	for _, p := range []fairness.Protocol{fairness.NewSLPoS(w), fairness.NewFSLPoS(w)} {
-		res, err := fairness.MonteCarlo(p, fairness.TwoMiner(a), fairness.MonteCarloConfig{
+		res, err := fairness.MonteCarloContext(context.Background(), p, fairness.TwoMiner(a), fairness.MonteCarloConfig{
 			Trials: trials, Blocks: blocks, Checkpoints: cps, Seed: 7,
 		})
 		if err != nil {

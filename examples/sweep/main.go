@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,8 +27,8 @@ func main() {
 	}
 	fmt.Printf("Sweeping %d scenarios (3 protocols × 3 rewards × 2 stakes)...\n\n", len(specs))
 
-	cache := fairness.NewSweepCache(0)
-	rep, err := fairness.Sweep(specs, fairness.SweepOptions{Cache: cache})
+	eng := fairness.NewEngine(fairness.WithCache(fairness.NewSweepCache(0)))
+	rep, err := eng.Sweep(context.Background(), specs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep2, err := fairness.Sweep(subset, fairness.SweepOptions{Cache: cache})
+	rep2, err := eng.Sweep(context.Background(), subset)
 	if err != nil {
 		log.Fatal(err)
 	}

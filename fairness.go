@@ -20,8 +20,10 @@
 //		fairness.TwoMiner(0.2), fairness.WithTrials(1000), fairness.WithBlocks(5000))
 //	fmt.Println(verdict) // expectationally fair, not robustly fair
 //
-// The top-level Evaluate, MonteCarlo and Sweep functions are deprecated
-// wrappers over a default Engine, kept for compatibility.
+// An Engine answers every question: Evaluate for one protocol instance,
+// EvaluateScenario, Sweep and Stream for declarative scenarios.
+// MonteCarloContext returns the raw per-checkpoint λ samples, and Attack
+// groups the closed-form attack calculators.
 //
 // The internal packages carry the substrates: internal/chainsim is a
 // block-level blockchain simulator with real SHA-256 puzzles standing in
@@ -369,76 +371,10 @@ func NewRand(seed uint64) *Rand { return rng.New(seed) }
 // Run advances the game n steps under protocol p.
 func Run(p Protocol, st *State, r *Rand, n int) { protocol.Run(p, st, r, n) }
 
-// MonteCarlo runs repeated games and returns the per-checkpoint λ samples.
-//
-// Deprecated: use montecarlo via Engine runs, or MonteCarloContext when
-// cancellation is needed. Retained as a thin compatibility wrapper.
-func MonteCarlo(p Protocol, initial []float64, cfg MonteCarloConfig) (*Result, error) {
-	return montecarlo.Run(p, initial, cfg)
-}
-
-// MonteCarloContext is MonteCarlo honouring ctx: cancellation stops the
-// run promptly and returns ctx.Err().
+// MonteCarloContext runs repeated games and returns the per-checkpoint λ
+// samples. Cancelling ctx stops the run promptly and returns ctx.Err().
 func MonteCarloContext(ctx context.Context, p Protocol, initial []float64, cfg MonteCarloConfig) (*Result, error) {
 	return montecarlo.RunContext(ctx, p, initial, cfg)
-}
-
-// EvalConfig configures the deprecated Evaluate wrapper.
-//
-// Zero-value caveat: every zero field means "use the default" — so
-// Trials/Blocks 0, Seed 0 and a literal-zero Params are UNREACHABLE
-// through this struct (Seed 0 silently becomes 1, zero Params become
-// DefaultParams). The Engine.Evaluate option API distinguishes unset
-// from zero: WithSeed(0) runs seed 0 and WithFairnessParams(Params{})
-// collapses the fair area, both inexpressible here.
-type EvalConfig struct {
-	// Trials is the number of independent games (default 1000).
-	Trials int
-	// Blocks is the horizon (default 5000).
-	Blocks int
-	// Seed is the base RNG seed (default 1; a literal seed 0 cannot be
-	// requested through this struct — use Engine.Evaluate + WithSeed(0)).
-	Seed uint64
-	// Params are the fairness parameters (default: ε = δ = 0.1; literal
-	// zeros cannot be requested through this struct — use
-	// Engine.Evaluate + WithFairnessParams).
-	Params Params
-	// WithholdEvery applies reward withholding when > 0.
-	WithholdEvery int
-}
-
-// options translates the zero-means-default struct into the explicit
-// option list, preserving the historical semantics exactly.
-func (cfg EvalConfig) options() []EvalOption {
-	var opts []EvalOption
-	if cfg.Trials != 0 {
-		opts = append(opts, WithTrials(cfg.Trials))
-	}
-	if cfg.Blocks != 0 {
-		opts = append(opts, WithBlocks(cfg.Blocks))
-	}
-	if cfg.Seed != 0 {
-		opts = append(opts, WithSeed(cfg.Seed))
-	}
-	if cfg.Params != (Params{}) {
-		opts = append(opts, WithFairnessParams(cfg.Params))
-	}
-	if cfg.WithholdEvery > 0 {
-		opts = append(opts, WithWithholding(cfg.WithholdEvery))
-	}
-	return opts
-}
-
-// Evaluate runs a Monte-Carlo experiment for miner 0 of the given initial
-// allocation and assesses both fairness notions at the final horizon.
-// An empty or all-zero allocation returns ErrInvalidAllocation.
-//
-// Deprecated: use Engine.Evaluate, which adds context cancellation and
-// distinguishes unset options from explicit zeros (see EvalConfig's
-// zero-value caveat). This wrapper delegates to a default Engine with
-// background context and produces bit-identical verdicts.
-func Evaluate(p Protocol, initial []float64, cfg EvalConfig) (Verdict, error) {
-	return NewEngine().Evaluate(context.Background(), p, initial, cfg.options()...)
 }
 
 // Scenario sweep entry points (cmd/fairsweep is the CLI face of these).
@@ -693,40 +629,6 @@ func (AttackCalculators) SelfishThreshold(gamma float64) (float64, error) {
 // PoW scenario's win probabilities.
 func (AttackCalculators) ForkEffectivePowers(shares []float64, forkRate float64) ([]float64, error) {
 	return attack.ForkEffectivePowers(shares, forkRate)
-}
-
-// SelfishMiningRevenue returns the closed-form Eyal–Sirer relative
-// revenue of a selfish pool.
-//
-// Deprecated: use Attack.SelfishRevenue.
-func SelfishMiningRevenue(alpha, gamma float64) (float64, error) {
-	return Attack.SelfishRevenue(alpha, gamma)
-}
-
-// SelfishMiningThreshold returns the selfish-mining profitability
-// threshold (1−γ)/(3−2γ).
-//
-// Deprecated: use Attack.SelfishThreshold.
-func SelfishMiningThreshold(gamma float64) (float64, error) {
-	return Attack.SelfishThreshold(gamma)
-}
-
-// ForkEffectivePowers returns the Sakurai–Shudo effective-power
-// correction at the given fork rate.
-//
-// Deprecated: use Attack.ForkEffectivePowers.
-func ForkEffectivePowers(shares []float64, forkRate float64) ([]float64, error) {
-	return Attack.ForkEffectivePowers(shares, forkRate)
-}
-
-// Sweep evaluates every scenario through the Monte-Carlo engine and
-// aggregates per-scenario fairness verdicts with cache/throughput stats.
-//
-// Deprecated: use Engine.Sweep, which adds context cancellation,
-// pluggable backends and streaming. This wrapper is the exact
-// equivalent of NewEngine(...).Sweep(context.Background(), specs).
-func Sweep(specs []Scenario, opts SweepOptions) (*SweepReport, error) {
-	return sweep.Run(specs, opts)
 }
 
 // Theory calculators (Theorems 4.2, 4.3, 4.10 and the Pólya-urn limit).

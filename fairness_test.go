@@ -1,12 +1,14 @@
 package fairness
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func TestEvaluateDefaults(t *testing.T) {
-	v, err := Evaluate(NewPoW(0.01), TwoMiner(0.2), EvalConfig{Trials: 400, Blocks: 4000})
+	v, err := NewEngine().Evaluate(context.Background(), NewPoW(0.01), TwoMiner(0.2),
+		WithTrials(400), WithBlocks(4000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +24,10 @@ func TestEvaluateRanking(t *testing.T) {
 	// The four protocols' empirical unfair probabilities must respect the
 	// paper's ranking PoW ≤ C-PoS < ML-PoS < SL-PoS at the canonical
 	// setting (ties allowed at the fair end).
-	cfg := EvalConfig{Trials: 500, Blocks: 3000, Seed: 5}
+	eng := NewEngine()
 	unfair := map[string]float64{}
 	for _, p := range []Protocol{NewPoW(0.01), NewMLPoS(0.01), NewSLPoS(0.01), NewCPoS(0.01, 0.1, 32)} {
-		v, err := Evaluate(p, TwoMiner(0.2), cfg)
+		v, err := eng.Evaluate(context.Background(), p, TwoMiner(0.2), WithTrials(500), WithBlocks(3000), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +40,8 @@ func TestEvaluateRanking(t *testing.T) {
 
 func TestEvaluateNormalisesShares(t *testing.T) {
 	// Unnormalised input {2, 8} is the a = 0.2 game.
-	v, err := Evaluate(NewPoW(0.01), []float64{2, 8}, EvalConfig{Trials: 300, Blocks: 2000})
+	v, err := NewEngine().Evaluate(context.Background(), NewPoW(0.01), []float64{2, 8},
+		WithTrials(300), WithBlocks(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +51,13 @@ func TestEvaluateNormalisesShares(t *testing.T) {
 }
 
 func TestEvaluateWithholding(t *testing.T) {
-	base, err := Evaluate(NewFSLPoS(0.01), TwoMiner(0.2), EvalConfig{Trials: 600, Blocks: 4000, Seed: 9})
+	eng, ctx := NewEngine(), context.Background()
+	base, err := eng.Evaluate(ctx, NewFSLPoS(0.01), TwoMiner(0.2), WithTrials(600), WithBlocks(4000), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := Evaluate(NewFSLPoS(0.01), TwoMiner(0.2), EvalConfig{Trials: 600, Blocks: 4000, Seed: 9, WithholdEvery: 1000})
+	held, err := eng.Evaluate(ctx, NewFSLPoS(0.01), TwoMiner(0.2), WithTrials(600), WithBlocks(4000), WithSeed(9),
+		WithWithholding(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +67,14 @@ func TestEvaluateWithholding(t *testing.T) {
 }
 
 func TestEvaluateError(t *testing.T) {
-	if _, err := Evaluate(NewPoW(0.01), []float64{1}, EvalConfig{}); err == nil {
+	if _, err := NewEngine().Evaluate(context.Background(), NewPoW(0.01), []float64{1}); err == nil {
 		t.Error("single miner should error")
 	}
 }
 
 func TestMonteCarloFacade(t *testing.T) {
-	res, err := MonteCarlo(NewMLPoS(0.01), TwoMiner(0.3), MonteCarloConfig{Trials: 50, Blocks: 100, Seed: 2})
+	res, err := MonteCarloContext(context.Background(), NewMLPoS(0.01), TwoMiner(0.3),
+		MonteCarloConfig{Trials: 50, Blocks: 100, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +140,15 @@ func TestSweepFacade(t *testing.T) {
 	if len(specs) != 4 {
 		t.Fatalf("expanded %d scenarios", len(specs))
 	}
-	cache := NewSweepCache(16)
-	rep, err := Sweep(specs, SweepOptions{Cache: cache})
+	eng := NewEngine(WithCache(NewSweepCache(16)))
+	rep, err := eng.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Stats.Computed != 4 || rep.Stats.CacheHits != 0 {
 		t.Errorf("cold stats: %+v", rep.Stats)
 	}
-	again, err := Sweep(specs, SweepOptions{Cache: cache})
+	again, err := eng.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +166,13 @@ func TestSweepMatchesEvaluate(t *testing.T) {
 	// A one-scenario sweep must produce exactly the verdict Evaluate
 	// produces for the same configuration — the sweep engine is a scaled
 	// orchestration of the same computation, not a reimplementation.
+	eng, ctx := NewEngine(), context.Background()
 	spec := Scenario{Protocol: "mlpos", W: 0.01, Stake: 0.2, Blocks: 500, Trials: 80, Seed: 23}
-	rep, err := Sweep([]Scenario{spec}, SweepOptions{})
+	rep, err := eng.Sweep(ctx, []Scenario{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Evaluate(NewMLPoS(0.01), TwoMiner(0.2), EvalConfig{Trials: 80, Blocks: 500, Seed: 23})
+	want, err := eng.Evaluate(ctx, NewMLPoS(0.01), TwoMiner(0.2), WithTrials(80), WithBlocks(500), WithSeed(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,21 +183,22 @@ func TestSweepMatchesEvaluate(t *testing.T) {
 
 func TestExtensionProtocolsFacade(t *testing.T) {
 	// NEO ≈ PoW, Algorand absolutely fair, EOS unfair.
-	neo, err := Evaluate(NewNEO(0.01), TwoMiner(0.2), EvalConfig{Trials: 400, Blocks: 4000, Seed: 3})
+	eng, ctx := NewEngine(), context.Background()
+	neo, err := eng.Evaluate(ctx, NewNEO(0.01), TwoMiner(0.2), WithTrials(400), WithBlocks(4000), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !neo.RobustFair {
 		t.Errorf("NEO should be robustly fair at n=4000: %+v", neo)
 	}
-	alg, err := Evaluate(NewAlgorand(0.1), TwoMiner(0.2), EvalConfig{Trials: 50, Blocks: 500})
+	alg, err := eng.Evaluate(ctx, NewAlgorand(0.1), TwoMiner(0.2), WithTrials(50), WithBlocks(500))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if alg.UnfairProbability != 0 {
 		t.Errorf("Algorand unfair = %v, want exactly 0", alg.UnfairProbability)
 	}
-	eos, err := Evaluate(NewEOS(0.01, 0.1), TwoMiner(0.2), EvalConfig{Trials: 50, Blocks: 2000})
+	eos, err := eng.Evaluate(ctx, NewEOS(0.01, 0.1), TwoMiner(0.2), WithTrials(50), WithBlocks(2000))
 	if err != nil {
 		t.Fatal(err)
 	}

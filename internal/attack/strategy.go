@@ -175,15 +175,6 @@ func Names() []string {
 	return names
 }
 
-// StrategyProtocols resolves a strategy's protocol coverage against the
-// full protocol list: nil (all protocols) becomes the given list.
-func StrategyProtocols(s Strategy, all []string) []string {
-	if ps := s.Protocols(); ps != nil {
-		return ps
-	}
-	return all
-}
-
 func init() {
 	Register(honestStrategy{})
 	Register(selfishStrategy{})

@@ -24,7 +24,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,26 +133,6 @@ func Segment(s string) string {
 	return b.String()
 }
 
-// unsegment inverts Segment.
-func unsegment(name string) string {
-	enc, ok := strings.CutPrefix(name, "_")
-	if !ok {
-		return name
-	}
-	b := make([]byte, 0, len(enc))
-	for i := 0; i < len(enc); i++ {
-		if enc[i] == '_' && i+3 <= len(enc) {
-			if v, err := strconv.ParseUint(enc[i+1:i+3], 16, 8); err == nil {
-				b = append(b, byte(v))
-				i += 2
-				continue
-			}
-		}
-		b = append(b, enc[i])
-	}
-	return string(b)
-}
-
 func plain(s string) bool {
 	if s == "" || s[0] == '_' || s == "." || s == ".." {
 		return false
@@ -250,40 +229,8 @@ func (d *Dir) Len() int {
 	return n
 }
 
-// Keys walks the store and returns every stored key, reconstructed from
-// the sharded layout. Order is directory-walk order.
-func (d *Dir) Keys() []string {
-	var keys []string
-	filepath.WalkDir(d.root, func(path string, e fs.DirEntry, err error) error {
-		if err != nil || e.IsDir() || strings.HasPrefix(e.Name(), ".tmp-") {
-			return nil
-		}
-		rel, rerr := filepath.Rel(d.root, path)
-		if rerr != nil {
-			return nil
-		}
-		segs := strings.Split(filepath.ToSlash(rel), "/")
-		// Drop the two-character fan-out directory preceding the hash.
-		if len(segs) >= 2 && segs[len(segs)-2] == e.Name()[:min(2, len(e.Name()))] {
-			segs = append(segs[:len(segs)-2], segs[len(segs)-1])
-		}
-		for i, seg := range segs {
-			segs[i] = unsegment(seg)
-		}
-		keys = append(keys, strings.Join(segs, ":"))
-		return nil
-	})
-	return keys
-}
-
 // Counters returns cumulative hit, miss and write counts for this store
 // instance (not persisted across processes).
 func (d *Dir) Counters() (hits, misses, writes uint64) {
 	return uint64(d.hits.Value()), uint64(d.misses.Value()), uint64(d.writes.Value())
-}
-
-// EvictionCounters returns cumulative GC eviction counts for this store
-// instance: entries removed and payload bytes freed.
-func (d *Dir) EvictionCounters() (evictions, bytes uint64) {
-	return uint64(d.evictions.Value()), uint64(d.evictedBytes.Value())
 }

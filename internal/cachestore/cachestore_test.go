@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,7 +83,7 @@ func TestCrossInstanceReuse(t *testing.T) {
 			t.Errorf("entry %d: %v %v %v", i, data, ok, err)
 		}
 	}
-	keys := b.Keys()
+	keys := storedKeys(b)
 	sort.Strings(keys)
 	if len(keys) != 5 || keys[0] != "mc:hash00" || keys[4] != "mc:hash04" {
 		t.Errorf("keys = %v", keys)
@@ -359,14 +361,61 @@ func TestUnsafeSegmentsEncodeInsideRoot(t *testing.T) {
 	if n := d.Len(); n != len(keys) {
 		t.Errorf("store holds %d files, want %d", n, len(keys))
 	}
-	got := d.Keys()
+	got := storedKeys(d)
 	sort.Strings(got)
 	want := append([]string(nil), keys...)
 	sort.Strings(want)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Keys() = %q, want %q", got, want)
+		t.Errorf("stored keys = %q, want %q", got, want)
 	}
 	if entries, _ := os.ReadDir(filepath.Dir(root)); len(entries) != 1 {
 		t.Errorf("store wrote outside its root: %v", entries)
 	}
+}
+
+// storedKeys walks the store and returns every stored key, reconstructed
+// from the sharded layout in directory-walk order: the test oracle that
+// Segment's file names decode back to the keys they store.
+func storedKeys(d *Dir) []string {
+	var keys []string
+	filepath.WalkDir(d.root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || strings.HasPrefix(e.Name(), ".tmp-") {
+			return nil
+		}
+		rel, rerr := filepath.Rel(d.root, path)
+		if rerr != nil {
+			return nil
+		}
+		segs := strings.Split(filepath.ToSlash(rel), "/")
+		// Drop the two-character fan-out directory preceding the hash.
+		if len(segs) >= 2 && segs[len(segs)-2] == e.Name()[:min(2, len(e.Name()))] {
+			segs = append(segs[:len(segs)-2], segs[len(segs)-1])
+		}
+		for i, seg := range segs {
+			segs[i] = unsegment(seg)
+		}
+		keys = append(keys, strings.Join(segs, ":"))
+		return nil
+	})
+	return keys
+}
+
+// unsegment inverts Segment.
+func unsegment(name string) string {
+	enc, ok := strings.CutPrefix(name, "_")
+	if !ok {
+		return name
+	}
+	b := make([]byte, 0, len(enc))
+	for i := 0; i < len(enc); i++ {
+		if enc[i] == '_' && i+3 <= len(enc) {
+			if v, err := strconv.ParseUint(enc[i+1:i+3], 16, 8); err == nil {
+				b = append(b, byte(v))
+				i += 2
+				continue
+			}
+		}
+		b = append(b, enc[i])
+	}
+	return string(b)
 }

@@ -31,9 +31,6 @@ func (d *Dir) SetMaxBytes(n int64) {
 	}
 }
 
-// MaxBytes returns the configured byte budget (0 = unbounded).
-func (d *Dir) MaxBytes() int64 { return d.maxBytes.Load() }
-
 // gcEntry is one stored payload as seen by the collector.
 type gcEntry struct {
 	path string

@@ -108,20 +108,9 @@ func (c *Chain) Height() uint64 { return c.Tip().Header.Height }
 // Len returns the number of blocks including genesis.
 func (c *Chain) Len() int { return len(c.blocks) }
 
-// BlockAt returns the block at the given height, or nil if out of range.
-func (c *Chain) BlockAt(height uint64) *Block {
-	if height >= uint64(len(c.blocks)) {
-		return nil
-	}
-	return c.blocks[height]
-}
-
 // StakeView returns the chain's current staking-power ledger (what the
 // next block's lottery will be drawn against).
 func (c *Chain) StakeView() *Ledger { return c.stake }
-
-// RewardsOf returns the cumulative coinbase earned by addr.
-func (c *Chain) RewardsOf(addr Address) uint64 { return c.rewards[addr] }
 
 // TotalRewards returns the cumulative coinbase issued.
 func (c *Chain) TotalRewards() uint64 { return c.totalRewards }

@@ -24,40 +24,6 @@ func TestLedgerBasics(t *testing.T) {
 	if err := l.CheckConservation(); err != nil {
 		t.Errorf("conservation: %v", err)
 	}
-	if !l.Exists(alice) || l.Exists(AddressFromSeed("mallory")) {
-		t.Error("Exists wrong")
-	}
-}
-
-func TestLedgerCloneIsolated(t *testing.T) {
-	genesis, alice, _ := twoMinerGenesis(0.5)
-	l := NewLedger(genesis)
-	c := l.Clone()
-	c.Credit(alice, 1000)
-	if l.Balance(alice) == c.Balance(alice) {
-		t.Error("clone shares state")
-	}
-	if err := l.CheckConservation(); err != nil {
-		t.Error(err)
-	}
-	if err := c.CheckConservation(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLedgerAccountsDeterministicOrder(t *testing.T) {
-	genesis, _, _ := twoMinerGenesis(0.2)
-	l := NewLedger(genesis)
-	a := l.Accounts()
-	b := l.Accounts()
-	if len(a) != 2 {
-		t.Fatalf("accounts = %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("account order unstable")
-		}
-	}
 }
 
 func TestChainAppendAppliesRewards(t *testing.T) {
@@ -77,7 +43,7 @@ func TestChainAppendAppliesRewards(t *testing.T) {
 		t.Errorf("rewards = %d", c.TotalRewards())
 	}
 	winner := c.Tip().Header.Proposer
-	if c.RewardsOf(winner) != testReward {
+	if c.rewards[winner] != testReward {
 		t.Error("winner not credited")
 	}
 	if got := c.Lambda(winner); got != 1 {
@@ -205,23 +171,6 @@ func TestNewChainRejectsEmptyGenesis(t *testing.T) {
 	}
 	if _, err := NewChain(e, map[Address]uint64{AddressFromSeed("a"): 0}, 0); !errors.Is(err, ErrEmptyGenesis) {
 		t.Errorf("zero-stake genesis err = %v", err)
-	}
-}
-
-func TestBlockAt(t *testing.T) {
-	genesis, alice, bob := twoMinerGenesis(0.2)
-	e := &SLPoSEngine{BlockReward: testReward, Stakers: []Address{alice, bob}}
-	c, _ := NewChain(e, genesis, 6)
-	r := rng.New(5)
-	_ = c.MineAndAppend(nil, r)
-	if c.BlockAt(0) == nil || c.BlockAt(1) == nil {
-		t.Error("blocks missing")
-	}
-	if c.BlockAt(2) != nil {
-		t.Error("out-of-range height should be nil")
-	}
-	if c.BlockAt(1).Header.ParentHash != c.BlockAt(0).Hash() {
-		t.Error("hash chain broken")
 	}
 }
 

@@ -3,7 +3,6 @@ package chainsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Ledger is the account state: integer balances in indivisible units, so
@@ -28,12 +27,6 @@ func NewLedger(genesis map[Address]uint64) *Ledger {
 // Balance returns the balance of addr (0 for unknown accounts).
 func (l *Ledger) Balance(addr Address) uint64 { return l.balances[addr] }
 
-// Exists reports whether addr holds (or ever held) units.
-func (l *Ledger) Exists(addr Address) bool {
-	_, ok := l.balances[addr]
-	return ok
-}
-
 // Credit adds amount to addr and tracks issuance.
 func (l *Ledger) Credit(addr Address, amount uint64) {
 	l.balances[addr] += amount
@@ -57,38 +50,6 @@ func (l *Ledger) CheckConservation() error {
 		return fmt.Errorf("chainsim: ledger imbalance: balances sum %d, supply %d", sum, l.TotalSupply())
 	}
 	return nil
-}
-
-// Accounts returns all addresses in deterministic (byte) order. Engines
-// iterate this for lotteries so results are independent of map order.
-func (l *Ledger) Accounts() []Address {
-	out := make([]Address, 0, len(l.balances))
-	for a := range l.balances {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
-}
-
-// Clone deep-copies the ledger; validation uses clones to evaluate blocks
-// against parent state without mutating the canonical ledger.
-func (l *Ledger) Clone() *Ledger {
-	c := &Ledger{
-		balances: make(map[Address]uint64, len(l.balances)),
-		issued:   l.issued,
-		genesis:  l.genesis,
-	}
-	for a, v := range l.balances {
-		c.balances[a] = v
-	}
-	return c
 }
 
 // ErrEmptyGenesis reports a genesis allocation with no stake.

@@ -79,14 +79,6 @@ func (r *P2PResult) CanonicalHeight() int { return len(r.Canonical) - 1 }
 // canonical chain.
 func (r *P2PResult) Orphans() int { return r.Produced - r.CanonicalHeight() }
 
-// OrphanRate returns Orphans as a fraction of all produced blocks.
-func (r *P2PResult) OrphanRate() float64 {
-	if r.Produced == 0 {
-		return 0
-	}
-	return float64(r.Orphans()) / float64(r.Produced)
-}
-
 // Lambda returns the named miner's fraction of canonical-chain rewards.
 func (r *P2PResult) Lambda(name string) float64 {
 	var total uint64

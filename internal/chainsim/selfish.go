@@ -258,9 +258,6 @@ func (s *SelfishSim) Lambda(name string) float64 {
 	return num / den
 }
 
-// Height returns the settled canonical chain height.
-func (s *SelfishSim) Height() int { return len(s.chain) - 1 }
-
 // Orphans returns the number of blocks discarded in fork resolutions.
 func (s *SelfishSim) Orphans() int { return s.orphans }
 

@@ -20,7 +20,7 @@ func TestEquitabilityEndpoints(t *testing.T) {
 	lottery := make([]float64, 1000)
 	r := rng.New(2)
 	for i := range lottery {
-		if r.Bernoulli(0.2) {
+		if r.Float64() < 0.2 {
 			lottery[i] = 1
 		}
 	}

@@ -138,13 +138,20 @@ func TestBinomialIntervalProbFractionScale(t *testing.T) {
 }
 
 func TestBinomialMatchesSampler(t *testing.T) {
-	// Cross-check the analytic CDF against the rng package's sampler.
+	// Cross-check the analytic CDF against draws summed from 40
+	// Bernoulli(0.3) trials.
 	d := Binomial{N: 40, P: 0.3}
 	r := rng.New(5)
 	const trials = 20000
 	atMost15 := 0
 	for i := 0; i < trials; i++ {
-		if r.Binomial(40, 0.3) <= 15 {
+		k := 0
+		for j := 0; j < 40; j++ {
+			if r.Float64() < 0.3 {
+				k++
+			}
+		}
+		if k <= 15 {
 			atMost15++
 		}
 	}

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (Section 5 and Section 6.1): Figures 1–6 and Table 1, plus
-// the real-system analogue runs on the chainsim substrate and the
-// ablation studies called out in DESIGN.md.
+// the real-system analogue runs on the chainsim substrate and three
+// ablations: C-PoS shard count, withholding period and initial
+// circulation.
 //
 // Each experiment is registered under the paper's exhibit ID ("fig2",
 // "table1", …), takes a Config that can scale trial counts down for tests

@@ -38,9 +38,6 @@ func NewBatch(n int, initial []float64, opts ...Option) (*Batch, error) {
 	return b, nil
 }
 
-// Len returns the number of states in the arena.
-func (b *Batch) Len() int { return len(b.states) }
-
 // State returns the i-th state of the arena. The pointer stays valid for
 // the life of the Batch; Reset it between trials instead of reallocating.
 func (b *Batch) State(i int) *State { return &b.states[i] }

@@ -259,21 +259,6 @@ func (s *State) CheckInvariants() error {
 	return nil
 }
 
-// Clone returns a deep copy of the state, used by harnesses that branch a
-// game (e.g. comparing continuations from a common prefix).
-func (s *State) Clone() *State {
-	c := &State{
-		Stakes:        append([]float64(nil), s.Stakes...),
-		Rewards:       append([]float64(nil), s.Rewards...),
-		Initial:       append([]float64(nil), s.Initial...),
-		pending:       append([]float64(nil), s.pending...),
-		Blocks:        s.Blocks,
-		withholdEvery: s.withholdEvery,
-		minerWithhold: s.minerWithhold, // read-only after construction
-	}
-	return c
-}
-
 // EqualShares returns n equal initial shares, a convenience for symmetric
 // games.
 func EqualShares(n int) []float64 {

@@ -177,24 +177,6 @@ func TestCheckInvariants(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	s := MustNew(TwoMiner(0.2), WithWithholding(10))
-	s.Credit(0, 0.01, 0.01)
-	s.EndBlock()
-	c := s.Clone()
-	c.Credit(1, 5, 5)
-	c.EndBlock()
-	if s.Rewards[1] != 0 {
-		t.Error("clone shares reward slice with original")
-	}
-	if s.Blocks != 1 || c.Blocks != 2 {
-		t.Errorf("blocks: orig %d clone %d", s.Blocks, c.Blocks)
-	}
-	if c.PendingStake(0) != s.PendingStake(0) {
-		t.Error("pending stake not copied")
-	}
-}
-
 func TestEqualShares(t *testing.T) {
 	s := MustNew(EqualShares(5))
 	for i := 0; i < 5; i++ {

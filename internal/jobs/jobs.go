@@ -72,9 +72,9 @@ func (s JobState) valid() bool {
 type SubmitRequest struct {
 	// Name labels the job for humans; it need not be unique.
 	Name string `json:"name,omitempty"`
-	// Tenant is the submitting principal ("" reads as "default").
-	// Tenants are the unit of fair sharing, quotas, cache namespacing
-	// and retention.
+	// Tenant is the submitting principal ("" reads as "default"), at
+	// most 64 bytes. Tenants are the unit of fair sharing, quotas, cache
+	// namespacing and retention.
 	Tenant string `json:"tenant,omitempty"`
 	// Priority biases the tenant's effective weight for this job: each
 	// step doubles (positive) or halves (negative) it, clamped to ±3.
@@ -204,9 +204,11 @@ func valueOr(v, def int) int {
 	return v
 }
 
-// Scheduler exposes the manager's fair-share arbiter (the load
-// generator and tests read dispatch state through its metrics).
-func (m *Manager) Scheduler() *Scheduler { return m.sched }
+// maxTenantBytes bounds a tenant name. TenantCache stores a tenant's
+// outcomes under the directory "t-" + cachestore.Segment(tenant), which
+// spends up to three bytes per name byte: 64 bytes encode to at most 195,
+// inside the 255-byte file-name limit of common file systems.
+const maxTenantBytes = 64
 
 // Submit admits one job, returning its assigned snapshot. The job runs
 // asynchronously; watch it with Get or wait on results with Results.
@@ -217,6 +219,9 @@ func (m *Manager) Submit(req SubmitRequest) (JobInfo, error) {
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = "default"
+	}
+	if len(tenant) > maxTenantBytes {
+		return JobInfo{}, fmt.Errorf("jobs: tenant name is %d bytes, limit %d", len(tenant), maxTenantBytes)
 	}
 	for i, s := range req.Specs {
 		if err := s.Validate(); err != nil {

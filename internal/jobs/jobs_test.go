@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -446,5 +447,87 @@ func TestTenantCacheEncodesTenantNamesInjectively(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, plain)); err != nil {
 			t.Errorf("plain tenant directory moved: %v", err)
 		}
+	}
+}
+
+// startJobServer serves a local-runner job manager over HTTP for the
+// rest of the test and returns its base URL.
+func startJobServer(t *testing.T) string {
+	t.Helper()
+	m, err := NewManager(Config{Runner: LocalRunner(sweep.Options{}, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	NewServer(m).Register(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		srv.Close()
+		m.Close()
+	})
+	return srv.URL
+}
+
+// postJob submits body to a job server and returns the HTTP status.
+func postJob(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+func TestSubmitBoundsTenantNames(t *testing.T) {
+	// A tenant name becomes the cache directory "t-" + Segment(tenant).
+	// An unbounded one could pass the file-name length limit once
+	// encoded, and the tenant cache would then drop every write.
+	url := startJobServer(t)
+	submit := func(tenant string) int {
+		body, err := json.Marshal(SubmitBody{Tenant: tenant,
+			Spec: json.RawMessage(`{"base":{"blocks":50,"trials":5},"protocols":["pow"],"stake":[0.2]}`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postJob(t, url, body)
+	}
+	// Every byte of a space-only name is escaped: the longest encoding.
+	longest := strings.Repeat(" ", maxTenantBytes)
+	if got := submit(longest); got != http.StatusAccepted {
+		t.Errorf("%d-byte tenant: status %d, want 202", len(longest), got)
+	}
+	for _, tenant := range []string{longest + " ", strings.Repeat("a", 300)} {
+		if got := submit(tenant); got != http.StatusBadRequest {
+			t.Errorf("%d-byte tenant: status %d, want 400", len(tenant), got)
+		}
+	}
+
+	// The longest admitted name still gets a working disk namespace.
+	base, err := sweep.NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	TenantCache(longest, base).Add("montecarlo:abcd01", sweep.Outcome{TrialsRun: 7})
+	if out, ok := TenantCache(longest, base).Get("montecarlo:abcd01"); !ok || out.TrialsRun != 7 {
+		t.Errorf("longest tenant's cache entry: ok=%v trials_run=%d, want a hit", ok, out.TrialsRun)
+	}
+}
+
+func TestSubmitOverLimitBodyIs413(t *testing.T) {
+	// An over-limit body is refused whole. A truncated read would accept
+	// a valid submission padded past the limit, and would report a spec
+	// cut off at the limit as malformed JSON.
+	url := startJobServer(t)
+	valid := `{"spec":{"base":{"blocks":50,"trials":5},"protocols":["pow"],"stake":[0.2]}}`
+	padded := valid + strings.Repeat(" ", maxSubmitBytes+100-len(valid))
+	longName := `{"name":"` + strings.Repeat("x", maxSubmitBytes) + `",` + valid[1:]
+	for name, body := range map[string]string{"padded": padded, "long name": longName} {
+		if got := postJob(t, url, []byte(body)); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s body of %d bytes: status %d, want 413", name, len(body), got)
+		}
+	}
+	if got := postJob(t, url, []byte(valid)); got != http.StatusAccepted {
+		t.Errorf("valid body: status %d, want 202", got)
 	}
 }

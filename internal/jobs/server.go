@@ -30,9 +30,6 @@ type Server struct {
 // NewServer wraps a manager.
 func NewServer(m *Manager) *Server { return &Server{m: m} }
 
-// Manager returns the wrapped manager.
-func (s *Server) Manager() *Manager { return s.m }
-
 // SubmitBody is the POST /v1/jobs wire format: job envelope plus the
 // scenario payload, which is either an explicit scenario array or a
 // grid object (the same dual format fairsweep -spec accepts).
@@ -55,9 +52,9 @@ func (s *Server) Register(mux *http.ServeMux) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
-		jobError(w, http.StatusBadRequest, err)
+		jobError(w, statusFor(err), err)
 		return
 	}
 	var body SubmitBody
@@ -147,6 +144,8 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}

@@ -7,7 +7,6 @@ package plot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -355,34 +354,4 @@ func fmtTick(v float64) string {
 func escape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
-}
-
-// DownsampleIndices returns at most maxPoints indices spread evenly over
-// [0, n), always including the first and last. Charts use it to thin long
-// per-block traces before rendering.
-func DownsampleIndices(n, maxPoints int) []int {
-	if n <= 0 {
-		return nil
-	}
-	if maxPoints < 2 {
-		maxPoints = 2
-	}
-	if n <= maxPoints {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	idx := make([]int, 0, maxPoints)
-	seen := map[int]bool{}
-	for i := 0; i < maxPoints; i++ {
-		j := int(math.Round(float64(i) * float64(n-1) / float64(maxPoints-1)))
-		if !seen[j] {
-			idx = append(idx, j)
-			seen[j] = true
-		}
-	}
-	sort.Ints(idx)
-	return idx
 }

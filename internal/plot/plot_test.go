@@ -137,35 +137,3 @@ func TestLogXMonotonePlacement(t *testing.T) {
 		t.Error("log-x chart missing markers")
 	}
 }
-
-func TestDownsampleIndices(t *testing.T) {
-	idx := DownsampleIndices(1000, 10)
-	if len(idx) > 10 {
-		t.Fatalf("too many indices: %d", len(idx))
-	}
-	if idx[0] != 0 || idx[len(idx)-1] != 999 {
-		t.Errorf("endpoints missing: %v", idx)
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			t.Fatalf("indices not strictly increasing: %v", idx)
-		}
-	}
-}
-
-func TestDownsampleSmallN(t *testing.T) {
-	idx := DownsampleIndices(3, 10)
-	if len(idx) != 3 || idx[0] != 0 || idx[2] != 2 {
-		t.Errorf("small-n downsample = %v", idx)
-	}
-	if DownsampleIndices(0, 5) != nil {
-		t.Error("n=0 should give nil")
-	}
-}
-
-func TestDownsampleMaxPointsClamped(t *testing.T) {
-	idx := DownsampleIndices(100, 1)
-	if len(idx) < 2 {
-		t.Errorf("maxPoints clamp failed: %v", idx)
-	}
-}

@@ -17,7 +17,7 @@ import (
 // Rand is a deterministic pseudo-random number generator.
 //
 // It is NOT safe for concurrent use; give each goroutine its own Rand
-// (see Split and Stream).
+// (see Stream).
 type Rand struct {
 	s xoshiro
 }
@@ -78,13 +78,6 @@ func (r *Rand) Uint64() uint64 {
 	var out uint64
 	r.s, out = r.s.next()
 	return out
-}
-
-// Split derives an independent generator from the current one. The child
-// stream is decorrelated from the parent by reseeding through SplitMix64.
-// The parent advances by one draw.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64())
 }
 
 // Stream returns the generator for sub-stream i of the given base seed.
@@ -154,17 +147,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Bernoulli returns true with probability p.
-func (r *Rand) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
 // Exponential returns a draw from the exponential distribution with the
 // given rate parameter (mean 1/rate). It panics if rate <= 0.
 func (r *Rand) Exponential(rate float64) float64 {
@@ -191,75 +173,6 @@ func (r *Rand) Geometric(p float64) int64 {
 		k = 1
 	}
 	return int64(k)
-}
-
-// Binomial returns a draw from Binomial(n, p). For the small n used by
-// C-PoS shard counts (P = 32 in Ethereum 2.0) direct summation is fast;
-// for large n it falls back to inversion over the CDF recurrence.
-func (r *Rand) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("rng: Binomial with negative n")
-	}
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	return r.binomialInversion(n, p)
-}
-
-// binomialInversion draws Binomial(n,p) by walking the PMF recurrence
-// pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p) until the target CDF mass is
-// covered. Expected work is O(np), acceptable for the moderate np this
-// repository uses.
-//
-// The walk starts at pmf(0) = (1-p)^n. Where that underflows to 0 the CDF
-// would never grow, so n is cut into pieces whose (1-p)^piece is at least
-// e^-700 and the pieces' independent draws are summed, which is again
-// Binomial(n, p).
-func (r *Rand) binomialInversion(n int, p float64) int {
-	q := 1 - p
-	pmf := math.Pow(q, float64(n))
-	if pmf == 0 {
-		piece := int(700 / -math.Log(q))
-		k := 0
-		for ; n > piece; n -= piece {
-			k += r.binomialInversion(piece, p)
-		}
-		return k + r.binomialInversion(n, p)
-	}
-	u := r.Float64()
-	cdf := pmf
-	ratio := p / q
-	k := 0
-	for u > cdf && k < n {
-		pmf *= ratio * float64(n-k) / float64(k+1)
-		k++
-		cdf += pmf
-	}
-	return k
-}
-
-// Normal returns a standard normal draw using the Marsaglia polar method.
-func (r *Rand) Normal() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Categorical returns an index drawn with probability weights[i]/sum(weights).
@@ -384,25 +297,6 @@ func tally(x xoshiro, c *Cumulative, n int, wins []int) xoshiro {
 		wins[i]++
 	}
 	return x
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the slice indices via the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 func itoa(n int) string {

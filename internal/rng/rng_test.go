@@ -95,20 +95,6 @@ func TestStreamIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	parent := New(5)
-	child := parent.Split()
-	matches := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			matches++
-		}
-	}
-	if matches > 0 {
-		t.Fatalf("split child matched parent %d times", matches)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(11)
 	for i := 0; i < 100000; i++ {
@@ -164,27 +150,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestBernoulli(t *testing.T) {
-	r := New(19)
-	hits := 0
-	n := 100000
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	p := float64(hits) / float64(n)
-	if math.Abs(p-0.3) > 0.01 {
-		t.Errorf("Bernoulli(0.3) rate = %v", p)
-	}
-	if r.Bernoulli(0) {
-		t.Error("Bernoulli(0) returned true")
-	}
-	if !r.Bernoulli(1) {
-		t.Error("Bernoulli(1) returned false")
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	r := New(23)
 	n := 200000
@@ -226,112 +191,6 @@ func TestGeometricPOne(t *testing.T) {
 		if k := r.Geometric(1); k != 1 {
 			t.Fatalf("Geometric(1) = %d, want 1", k)
 		}
-	}
-}
-
-func TestBinomialSmallN(t *testing.T) {
-	r := New(37)
-	n, p := 32, 0.2
-	trials := 100000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < trials; i++ {
-		k := r.Binomial(n, p)
-		if k < 0 || k > n {
-			t.Fatalf("Binomial out of range: %d", k)
-		}
-		f := float64(k)
-		sum += f
-		sumSq += f * f
-	}
-	mean := sum / float64(trials)
-	variance := sumSq/float64(trials) - mean*mean
-	wantMean := float64(n) * p
-	wantVar := float64(n) * p * (1 - p)
-	if math.Abs(mean-wantMean) > 0.05 {
-		t.Errorf("Binomial mean = %v, want ~%v", mean, wantMean)
-	}
-	if math.Abs(variance-wantVar)/wantVar > 0.05 {
-		t.Errorf("Binomial variance = %v, want ~%v", variance, wantVar)
-	}
-}
-
-func TestBinomialLargeN(t *testing.T) {
-	r := New(41)
-	n, p := 1000, 0.01
-	trials := 50000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		k := r.Binomial(n, p)
-		if k < 0 || k > n {
-			t.Fatalf("Binomial out of range: %d", k)
-		}
-		sum += float64(k)
-	}
-	mean := sum / float64(trials)
-	if math.Abs(mean-10) > 0.2 {
-		t.Errorf("Binomial(1000, 0.01) mean = %v, want ~10", mean)
-	}
-}
-
-// TestBinomialUnderflowingStart covers n large enough that (1-p)^n, the
-// inversion walk's starting pmf, underflows to 0; the walk used to run
-// to k = n for every draw.
-func TestBinomialUnderflowingStart(t *testing.T) {
-	r := New(45)
-	for _, c := range []struct {
-		n      int
-		p, tol float64
-	}{
-		{2000, 0.5, 5},
-		{5000, 0.2, 7},
-		{100000, 0.01, 10},
-		{3000, 0.999, 1},
-	} {
-		const draws = 500
-		sum := 0
-		for i := 0; i < draws; i++ {
-			k := r.Binomial(c.n, c.p)
-			if k < 0 || k > c.n {
-				t.Fatalf("Binomial(%d, %v) = %d, out of range", c.n, c.p, k)
-			}
-			sum += k
-		}
-		mean, want := float64(sum)/draws, float64(c.n)*c.p
-		if math.Abs(mean-want) > c.tol {
-			t.Errorf("Binomial(%d, %v) mean of %d draws = %v, want %v ± %v", c.n, c.p, draws, mean, want, c.tol)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := New(43)
-	if k := r.Binomial(10, 0); k != 0 {
-		t.Errorf("Binomial(10, 0) = %d", k)
-	}
-	if k := r.Binomial(10, 1); k != 10 {
-		t.Errorf("Binomial(10, 1) = %d", k)
-	}
-	if k := r.Binomial(0, 0.5); k != 0 {
-		t.Errorf("Binomial(0, .5) = %d", k)
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := New(47)
-	n := 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("Normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("Normal variance = %v", variance)
 	}
 }
 
@@ -462,31 +321,6 @@ func TestCumulatePanicsLikeCategorical(t *testing.T) {
 		if want == nil || got != want {
 			t.Errorf("%s: Cumulate panicked with %v, Categorical with %v", name, got, want)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(61)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(67)
-	s := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("Shuffle lost elements: %v", s)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics the Monte-Carlo harness
-// aggregates over: running (Welford) moments, exact percentiles, empirical
-// CDFs and histograms. The paper reports sample means, 5th/95th percentile
-// bands and "unfair probabilities" (tail masses outside a fairness window);
+// aggregates over: sample moments, exact percentiles and window
+// fractions. The paper reports sample means, 5th/95th percentile bands
+// and "unfair probabilities" (tail masses outside a fairness window);
 // these are the primitives that compute them.
 package stats
 
@@ -9,96 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Running accumulates count, mean and variance in a single pass using
-// Welford's algorithm, which stays accurate when the mean dwarfs the
-// fluctuations (e.g. reward fractions concentrated near their target).
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// Merge combines another accumulator into this one (parallel reduction),
-// using Chan et al.'s pairwise update.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	r.mean += delta * float64(o.n) / float64(n)
-	r.m2 += o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
-
-// N returns the number of observations.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the sample mean (NaN when empty).
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.mean
-}
-
-// Variance returns the unbiased sample variance (NaN for n < 2).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return math.NaN()
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation (NaN when empty).
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.min
-}
-
-// Max returns the largest observation (NaN when empty).
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.max
-}
 
 // Mean returns the arithmetic mean of xs (NaN when empty).
 func Mean(xs []float64) float64 {
@@ -126,26 +36,10 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// Percentile returns the p-th percentile (p in [0, 100]) of xs using linear
-// interpolation between closest ranks (the "exclusive" R-7 definition used
-// by most plotting tools). It does not modify xs. NaN when xs is empty.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || math.IsNaN(p) {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return minOf(xs)
-	}
-	if p >= 100 {
-		return maxOf(xs)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// PercentileSorted is Percentile for data already in ascending order,
-// avoiding the copy+sort. The caller must not pass unsorted data.
+// PercentileSorted returns the p-th percentile (p in [0, 100]) of data
+// already in ascending order, interpolating linearly between closest
+// ranks (the R-7 definition most plotting tools use). NaN when sorted is
+// empty. The caller must not pass unsorted data.
 func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 || math.IsNaN(p) {
 		return math.NaN()
@@ -170,26 +64,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // FractionWithin returns the fraction of xs inside [lo, hi] (inclusive).
 // Its complement over the fairness window [(1−ε)a, (1+ε)a] is the paper's
 // "unfair probability".
@@ -204,20 +78,6 @@ func FractionWithin(xs []float64, lo, hi float64) float64 {
 		}
 	}
 	return float64(in) / float64(len(xs))
-}
-
-// ECDF returns the empirical CDF of xs evaluated at x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Summary holds the batch statistics the experiment harness reports for a
@@ -257,55 +117,4 @@ func Summarize(xs []float64) Summary {
 		P75:    percentileSorted(sorted, 75),
 		P95:    percentileSorted(sorted, 95),
 	}
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi].
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations below Lo
-	Over     int // observations above Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with the given number of bins spanning
-// [lo, hi]. It panics on a non-positive bin count or an empty range.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with non-positive bin count")
-	}
-	if !(hi > lo) {
-		panic("stats: NewHistogram with empty range")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x > h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i == len(h.Counts) { // x == Hi lands in the last bin
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including outliers.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
 }

@@ -13,128 +13,48 @@ func almost(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestRunningAgainstBatch(t *testing.T) {
-	r := rng.New(3)
-	var run Running
-	xs := make([]float64, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		x := r.Float64()*10 - 5
-		xs = append(xs, x)
-		run.Add(x)
-	}
-	if run.N() != 1000 {
-		t.Fatalf("N = %d", run.N())
-	}
-	if !almost(run.Mean(), Mean(xs), 1e-10) {
-		t.Errorf("mean mismatch: %v vs %v", run.Mean(), Mean(xs))
-	}
-	if !almost(run.Variance(), Variance(xs), 1e-10) {
-		t.Errorf("variance mismatch: %v vs %v", run.Variance(), Variance(xs))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if run.Min() != sorted[0] || run.Max() != sorted[len(sorted)-1] {
-		t.Errorf("min/max mismatch")
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if !math.IsNaN(r.Mean()) || !math.IsNaN(r.Variance()) || !math.IsNaN(r.Min()) || !math.IsNaN(r.Max()) {
-		t.Error("empty Running should report NaN")
-	}
-}
-
-func TestRunningSingle(t *testing.T) {
-	var r Running
-	r.Add(7)
-	if r.Mean() != 7 || r.Min() != 7 || r.Max() != 7 {
-		t.Error("single observation stats wrong")
-	}
-	if !math.IsNaN(r.Variance()) {
-		t.Error("variance of single point should be NaN")
-	}
-}
-
-func TestRunningMergeEqualsSequential(t *testing.T) {
-	r := rng.New(5)
-	var all, a, b Running
-	for i := 0; i < 500; i++ {
-		x := r.Normal()
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almost(a.Mean(), all.Mean(), 1e-10) {
-		t.Errorf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if !almost(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merged variance %v vs %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Error("merged min/max mismatch")
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(2)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Error("merging empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 1.5 {
-		t.Error("merge into empty failed")
-	}
-}
-
 func TestPercentileKnown(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {10, 1.4}, {90, 4.6},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := PercentileSorted(xs, c.p); !almost(got, c.want, 1e-12) {
+			t.Errorf("PercentileSorted(%v) = %v, want %v", c.p, got, c.want)
 		}
+	}
+}
+
+func TestPercentileEmpty(t *testing.T) {
+	if !math.IsNaN(PercentileSorted(nil, 50)) {
+		t.Error("empty percentile should be NaN")
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	Summarize(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentileEmpty(t *testing.T) {
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
+		t.Error("Summarize mutated its input")
 	}
 }
 
 func TestPercentileSortedMatches(t *testing.T) {
+	// Summarize sorts a copy of its input; PercentileSorted over the
+	// sorted data must give the same extremes and quantiles.
 	r := rng.New(7)
 	xs := make([]float64, 101)
 	for i := range xs {
 		xs[i] = r.Float64()
 	}
+	s := Summarize(xs)
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	for p := 0.0; p <= 100; p += 5 {
-		if got, want := PercentileSorted(sorted, p), Percentile(xs, p); !almost(got, want, 1e-12) {
-			t.Errorf("p=%v: %v vs %v", p, got, want)
+	for _, c := range []struct{ p, want float64 }{
+		{0, s.Min}, {5, s.P5}, {25, s.P25}, {50, s.Median}, {75, s.P75}, {95, s.P95}, {100, s.Max},
+	} {
+		if got := PercentileSorted(sorted, c.p); got != c.want {
+			t.Errorf("p=%v: %v, Summarize %v", c.p, got, c.want)
 		}
 	}
 }
@@ -152,19 +72,6 @@ func TestFractionWithin(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := ECDF(xs, 2.5); got != 0.5 {
-		t.Errorf("ECDF(2.5) = %v", got)
-	}
-	if got := ECDF(xs, 0); got != 0 {
-		t.Errorf("ECDF(0) = %v", got)
-	}
-	if got := ECDF(xs, 4); got != 1 {
-		t.Errorf("ECDF(4) = %v", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := make([]float64, 0, 100)
 	for i := 1; i <= 100; i++ {
@@ -176,6 +83,9 @@ func TestSummarize(t *testing.T) {
 	}
 	if !almost(s.Mean, 50.5, 1e-12) {
 		t.Errorf("mean = %v", s.Mean)
+	}
+	if want := math.Sqrt(100 * 101 / 12.0); !almost(s.StdDev, want, 1e-12) {
+		t.Errorf("stddev = %v, want %v", s.StdDev, want)
 	}
 	if !almost(s.Median, 50.5, 1e-12) {
 		t.Errorf("median = %v", s.Median)
@@ -198,45 +108,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	h.Add(-0.1)
-	h.Add(0.05)
-	h.Add(0.15)
-	h.Add(0.95)
-	h.Add(1.0) // boundary: last bin
-	h.Add(1.5)
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[9] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if !almost(h.BinCenter(0), 0.05, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 5) },
-		func() { NewHistogram(2, 1, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("NewHistogram with bad args did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // Property: percentile output is within [min, max] and monotone in p.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
@@ -246,39 +117,16 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Float64() * 100
 		}
+		sort.Float64s(xs)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 10 {
-			v := Percentile(xs, p)
+			v := PercentileSorted(xs, p)
 			if v < prev-1e-9 {
 				return false
 			}
 			prev = v
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Running.Merge is order-insensitive for the mean.
-func TestQuickMergeCommutative(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		var a1, b1, a2, b2 Running
-		for i := 0; i < 50; i++ {
-			x := r.Float64()
-			a1.Add(x)
-			a2.Add(x)
-		}
-		for i := 0; i < 30; i++ {
-			x := r.Float64() * 2
-			b1.Add(x)
-			b2.Add(x)
-		}
-		a1.Merge(b1) // a then b
-		b2.Merge(a2) // b then a
-		return almost(a1.Mean(), b2.Mean(), 1e-10) && almost(a1.Variance(), b2.Variance(), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -50,10 +50,6 @@ func (d *DiskCache) Dir() string { return d.store.Root() }
 // cache as fresh.
 func (d *DiskCache) SetMaxBytes(n int64) { d.store.SetMaxBytes(n) }
 
-// GC forces a collection now and reports how many entries and bytes it
-// evicted (always zero without a size cap).
-func (d *DiskCache) GC() (removed int, freed int64) { return d.store.GC() }
-
 // Get implements CacheStore: a missing, unreadable or undecodable entry
 // is a miss. Undecodable entries are evicted so they recompute cleanly.
 func (d *DiskCache) Get(key string) (Outcome, bool) {

@@ -69,9 +69,6 @@ func (t *Table) AddRow(cells ...any) *Table {
 	return t
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

@@ -61,8 +61,8 @@ func TestMissingAndExtraCells(t *testing.T) {
 	if strings.Contains(out, "d") {
 		t.Errorf("extra cell leaked: %q", out)
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -44,14 +44,6 @@ func NewTracerWithMetrics(w io.Writer, m *Registry) *Tracer {
 	return &Tracer{w: w, dropped: m.Counter("fairness_trace_dropped_total")}
 }
 
-// Dropped returns the number of events lost to marshal/write failures.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Value()
-}
-
 // Emit writes one event line. attrs are alternating key, value pairs;
 // values marshal as JSON (fmt.Sprint fallback for unmarshalable ones). A
 // trailing odd key is ignored. Emit on a nil tracer does nothing.
