@@ -111,10 +111,12 @@ import (
 )
 
 // stdout/stderr are swapped by tests; stderr carries summaries in
-// -ndjson mode so stdout stays machine-parseable.
+// -ndjson mode so stdout stays machine-parseable. netListen opens the
+// `run -listen` listener, and tests swap it to watch the connections.
 var (
-	stdout io.Writer = os.Stdout
-	stderr io.Writer = os.Stderr
+	stdout    io.Writer = os.Stdout
+	stderr    io.Writer = os.Stderr
+	netListen           = net.Listen
 )
 
 func main() {
@@ -283,11 +285,11 @@ func runCmd(args []string) error {
 		if *pprofFlag {
 			telemetry.RegisterPprof(mux)
 		}
-		ln, err := net.Listen("tcp", *listen)
+		ln, err := netListen("tcp", *listen)
 		if err != nil {
 			return fmt.Errorf("coordinator listener: %w", err)
 		}
-		httpSrv := &http.Server{Handler: mux}
+		httpSrv := cluster.NewHTTPServer(mux)
 		go httpSrv.Serve(ln)
 		defer httpSrv.Close()
 		clusterOpts.Registry = reg

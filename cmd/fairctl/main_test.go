@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,6 +186,98 @@ func TestRunListenZeroWorkersCompletesAfterRegistration(t *testing.T) {
 	if !strings.Contains(errOut, "progress:") {
 		t.Errorf("stderr missing -progress lines:\n%s", errOut)
 	}
+}
+
+// deadlineListener records, for each read deadline an http.Server sets
+// on the connections it accepts, how far ahead of the call it lies.
+type deadlineListener struct {
+	net.Listener
+	mu    sync.Mutex
+	ahead []time.Duration
+}
+
+func (l *deadlineListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &deadlineConn{Conn: c, l: l}, nil
+}
+
+type deadlineConn struct {
+	net.Conn
+	l *deadlineListener
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	if !t.IsZero() {
+		c.l.mu.Lock()
+		c.l.ahead = append(c.l.ahead, time.Until(t))
+		c.l.mu.Unlock()
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// requireTimeouts fails unless the server gave some request headers
+// cluster.ServerReadHeaderTimeout to arrive and some idle connection
+// cluster.ServerIdleTimeout before it closes.
+func (l *deadlineListener) requireTimeouts(t *testing.T) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, want := range []time.Duration{cluster.ServerReadHeaderTimeout, cluster.ServerIdleTimeout} {
+		if !slices.ContainsFunc(l.ahead, func(d time.Duration) bool { return d > want-time.Second && d <= want }) {
+			t.Errorf("no read deadline %v ahead among %v", want, l.ahead)
+		}
+	}
+}
+
+func TestRunListenSetsHeaderAndIdleTimeouts(t *testing.T) {
+	w := startWorker(t)
+	ln := &deadlineListener{}
+	listening := make(chan string, 1)
+	netListen = func(network, address string) (net.Listener, error) {
+		inner, err := net.Listen(network, address)
+		if err != nil {
+			return nil, err
+		}
+		ln.Listener = inner
+		listening <- inner.Addr().String()
+		return ln, nil
+	}
+	defer func() { netListen = net.Listen }()
+	done := make(chan error, 1)
+	go func() {
+		_, errOut, err := capture(t, []string{"run", "-listen", "127.0.0.1:0", writeGrid(t)})
+		if err != nil {
+			err = fmt.Errorf("%v\n%s", err, errOut)
+		}
+		done <- err
+	}()
+	addr := <-listening
+
+	// Two requests on one connection: the server waits for the first
+	// one's headers, then holds the connection idle until the second,
+	// which registers the worker the run waits for.
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	resp, err = client.Post("http://"+addr+"/v1/register", "application/json",
+		strings.NewReader(`{"url":"`+w.URL+`","backend":"montecarlo"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("run -listen: %v", err)
+	}
+	ln.requireTimeouts(t)
 }
 
 func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {

@@ -201,7 +201,7 @@ func serve(ctx context.Context, srv *server, cfg config, listen func(network, ad
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.mux()}
+	httpSrv := cluster.NewHTTPServer(srv.mux())
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
 

@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -507,6 +509,91 @@ func TestWorkerListensBeforeItRegisters(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+}
+
+// deadlineListener records, for each read deadline an http.Server sets
+// on the connections it accepts, how far ahead of the call it lies.
+type deadlineListener struct {
+	net.Listener
+	mu    sync.Mutex
+	ahead []time.Duration
+}
+
+func (l *deadlineListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &deadlineConn{Conn: c, l: l}, nil
+}
+
+type deadlineConn struct {
+	net.Conn
+	l *deadlineListener
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	if !t.IsZero() {
+		c.l.mu.Lock()
+		c.l.ahead = append(c.l.ahead, time.Until(t))
+		c.l.mu.Unlock()
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// requireTimeouts fails unless the server gave some request headers
+// cluster.ServerReadHeaderTimeout to arrive and some idle connection
+// cluster.ServerIdleTimeout before it closes.
+func (l *deadlineListener) requireTimeouts(t *testing.T) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, want := range []time.Duration{cluster.ServerReadHeaderTimeout, cluster.ServerIdleTimeout} {
+		if !slices.ContainsFunc(l.ahead, func(d time.Duration) bool { return d > want-time.Second && d <= want }) {
+			t.Errorf("no read deadline %v ahead among %v", want, l.ahead)
+		}
+	}
+}
+
+func TestServeSetsHeaderAndIdleTimeouts(t *testing.T) {
+	srv, err := newServer(config{cacheCap: 8, metrics: fairness.NewMetricsRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.close)
+	ln := &deadlineListener{}
+	listening := make(chan string, 1)
+	listen := func(network, address string) (net.Listener, error) {
+		inner, err := net.Listen(network, address)
+		if err != nil {
+			return nil, err
+		}
+		ln.Listener = inner
+		listening <- inner.Addr().String()
+		return ln, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, srv, config{addr: "127.0.0.1:0"}, listen) }()
+	addr := <-listening
+
+	// Two requests on one connection: the server waits for the first
+	// one's headers, then holds the connection idle until the second.
+	client := &http.Client{Transport: &http.Transport{}}
+	for range 2 {
+		resp, err := client.Get("http://" + addr + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	client.CloseIdleConnections()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	ln.requireTimeouts(t)
 }
 
 func TestProgressEndpointAndHealthzShardCounters(t *testing.T) {

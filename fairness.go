@@ -208,7 +208,10 @@ func NewJobClient(base string) *JobClient { return jobs.NewClient(base) }
 
 // JobClusterRunner executes each job as one distributed cluster run
 // over the shared worker pool described by base (its Gate and Cache are
-// overridden per job).
+// overridden per job). With base.HTTPClient nil, the jobs share one
+// keep-alive connection pool. Workers compute a job's shards without
+// their own cache, so each outcome is written once, into the tenant's
+// namespace of the job manager's cache.
 func JobClusterRunner(base ClusterOptions) JobSweepRunner { return jobs.ClusterRunner(base) }
 
 // JobLocalRunner executes jobs in-process with sweep options opts,

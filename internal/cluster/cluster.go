@@ -38,6 +38,10 @@ var (
 	// watchdog: the worker stopped streaming long enough to be presumed
 	// stuck.
 	errLeaseExpired = errors.New("cluster: shard lease expired")
+	// errBadOutcome marks a claim cut at a streamed outcome that fails
+	// checkOutcome: the worker answered under another backend, or for a
+	// spec other than the one its hash names.
+	errBadOutcome = errors.New("cluster: worker streamed a bad outcome")
 )
 
 // Scheduling defaults.
@@ -118,16 +122,19 @@ type Options struct {
 	// worker is quarantined. Size it above the longest single-scenario
 	// compute time.
 	LeaseTTL time.Duration
-	// HTTPClient overrides the transport (nil = a default client with no
-	// overall timeout, since shard streams are long-lived).
+	// HTTPClient overrides the transport (nil = a client with no overall
+	// timeout, since shard streams are long-lived, over a private
+	// connection pool that the run drains when it ends). Runs that share
+	// one client keep their worker connections alive between them, as
+	// jobs.ClusterRunner does.
 	HTTPClient *http.Client
 	// OnOutcome, when non-nil, streams every per-position outcome as it
 	// is merged (calls are serialised; order is scheduling-dependent,
 	// exactly like a local sweep's observer).
 	OnOutcome func(sweep.Outcome)
 	// Metrics, when non-nil, receives the coordinator-side
-	// fairness_cluster_* counters and gauges (shard lifecycle, streamed
-	// and delivered outcomes, local cache hits, lease expiries,
+	// fairness_cluster_* counters and gauges (shard lifecycle, streamed,
+	// rejected and delivered outcomes, local cache hits, lease expiries,
 	// quarantines, live workers, per-worker rate EWMAs). Counters are
 	// cumulative across runs sharing the registry. Engine-driven runs
 	// inherit the engine's registry automatically.
@@ -412,9 +419,11 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 			computed++
 			if opts.Cache != nil {
 				// Fill the coordinator-side cache exactly as the local
-				// runner would: the canonical, name-free outcome. (With a
-				// shared cache dir the worker already wrote it; the atomic
-				// store makes the rewrite harmless.)
+				// runner would: the canonical, name-free outcome. (In a run
+				// without a tenant, a worker sharing the cache dir already
+				// wrote it and the atomic store makes the rewrite harmless;
+				// a job's workers skip their cache, so this is its only
+				// write.)
 				c := base
 				c.Name = ""
 				opts.Cache.Add(sweep.CacheKey(backend, h), c)
@@ -532,7 +541,7 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 type meters struct {
 	claimed, acked, requeued *telemetry.Counter
 	streamed, delivered      *telemetry.Counter
-	localHits                *telemetry.Counter
+	rejected, localHits      *telemetry.Counter
 	workers                  *telemetry.Gauge
 }
 
@@ -543,6 +552,7 @@ func newMeters(m *telemetry.Registry) *meters {
 		requeued:  m.Counter("fairness_cluster_shards_requeued_total"),
 		streamed:  m.Counter("fairness_cluster_outcomes_streamed_total"),
 		delivered: m.Counter("fairness_cluster_delivered_total"),
+		rejected:  m.Counter("fairness_cluster_outcomes_rejected_total"),
 		localHits: m.Counter("fairness_cluster_local_cache_hits_total"),
 		workers:   m.Gauge("fairness_cluster_workers"),
 	}
@@ -721,6 +731,9 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 			opts.Metrics.Gauge("fairness_cluster_waiting").Set(0)
 		}
 	}
+	// Each scan takes the registry's watch channel first, so a worker
+	// that registers during the scan still wakes the next wait.
+	watch := reg.Watch()
 	s.spawnLoops()
 	checkWaiting()
 	s.wg.Add(1)
@@ -730,7 +743,7 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 		defer tick.Stop()
 		for {
 			select {
-			case <-reg.Watch():
+			case <-watch:
 			case <-tick.C:
 			case <-s.runDone:
 				if waiting {
@@ -739,6 +752,7 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 				}
 				return
 			}
+			watch = reg.Watch()
 			s.spawnLoops()
 			checkWaiting()
 		}
@@ -936,6 +950,12 @@ func (s *sched) workerLoop(url string) {
 			s.quarantine(url, "lease expired")
 			return
 		}
+		if errors.Is(err, errBadOutcome) {
+			// A worker that computes something other than what it was
+			// asked will do so again: quarantine it too.
+			s.quarantine(url, "bad outcome")
+			return
+		}
 		if !Probe(s.runCtx, s.run.client, url, s.run.probeTimeout).OK {
 			s.quarantine(url, "health probe failed")
 			return
@@ -1073,6 +1093,10 @@ func (s *sched) claimShard(url string, t *task, spanCtx telemetry.SpanContext) (
 		if !want[o.Hash] {
 			continue // stray outcome from another run's namespace; ignore
 		}
+		if err := checkOutcome(o, s.run.backend); err != nil {
+			s.run.met.rejected.Inc()
+			return shardSummary{}, deliveredOut, err
+		}
 		s.run.met.streamed.Inc()
 		if s.run.deliver(o.Hash, o, o.CacheHit) {
 			deliveredHere++
@@ -1083,6 +1107,24 @@ func (s *sched) claimShard(url string, t *task, spanCtx telemetry.SpanContext) (
 		return shardSummary{}, deliveredOut, leaseErr(err)
 	}
 	return shardSummary{}, deliveredOut, leaseErr(fmt.Errorf("stream ended without a summary line"))
+}
+
+// checkOutcome vets a streamed outcome before it is merged and cached:
+// it must come from the run's backend, and its spec must re-hash to the
+// hash it is filed under. One that fails was computed for something
+// other than what the coordinator asked.
+func checkOutcome(o sweep.Outcome, backend string) error {
+	if o.Backend != backend {
+		return fmt.Errorf("%w: %.12s from backend %q, run expects %q", errBadOutcome, o.Hash, o.Backend, backend)
+	}
+	h, err := o.Spec.Hash()
+	if err != nil {
+		return fmt.Errorf("%w: %.12s: %v", errBadOutcome, o.Hash, err)
+	}
+	if h != o.Hash {
+		return fmt.Errorf("%w: %.12s carries a spec that hashes to %.12s", errBadOutcome, o.Hash, h)
+	}
+	return nil
 }
 
 // ackShard tells the worker its shard was merged; best-effort.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,7 +43,13 @@ func testGrid(t *testing.T) []scenario.Spec {
 // coordinator probes.
 func startWorker(t *testing.T, opts sweep.Options, backendName string) (*httptest.Server, *WorkerServer) {
 	t.Helper()
-	ws := NewWorkerServer(LocalRunner(opts))
+	return startRunWorker(t, LocalRunner(opts), backendName)
+}
+
+// startRunWorker is startWorker over any shard runner.
+func startRunWorker(t *testing.T, run RunFunc, backendName string) (*httptest.Server, *WorkerServer) {
+	t.Helper()
+	ws := NewWorkerServer(run)
 	mux := http.NewServeMux()
 	ws.Register(mux)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -303,6 +310,99 @@ func TestClusterArenaEquilibriumBitIdenticalWithWorkerKill(t *testing.T) {
 	}
 	if got, want := canonicalOutcomes(t, rep2), canonicalOutcomes(t, local); got != want {
 		t.Errorf("arena outcomes after worker kill differ from local run:\n%s\n%s", got, want)
+	}
+}
+
+// tamperingRunner computes each shard honestly, then alters every
+// outcome before it streams and keeps the honest hash: a worker whose
+// answers no longer match the question. claimed closes when it receives
+// its first shard.
+func tamperingRunner(tamper func(*sweep.Outcome), claimed chan struct{}) RunFunc {
+	var once sync.Once
+	honest := LocalRunner(sweep.Options{})
+	return func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
+		once.Do(func() { close(claimed) })
+		return honest(ctx, specs, func(o sweep.Outcome) {
+			tamper(&o)
+			on(o)
+		})
+	}
+}
+
+func TestClusterRejectsTamperedOutcomes(t *testing.T) {
+	// The coordinator merges and caches only outcomes it has checked: the
+	// run's backend, and a spec that re-hashes to the outcome's hash. A
+	// worker that fails either check is quarantined and its shard's
+	// remainder goes to the others.
+	specs := testGrid(t)
+	local, err := sweep.Run(specs, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampers := []struct {
+		name   string
+		tamper func(*sweep.Outcome)
+	}{
+		{"backend", func(o *sweep.Outcome) { o.Backend = "theory" }},
+		{"spec", func(o *sweep.Outcome) { o.Spec.Stakes = []float64{0.9, 0.1} }},
+	}
+	for _, tc := range tampers {
+		t.Run(tc.name+"/alone", func(t *testing.T) {
+			liar, _ := startRunWorker(t, tamperingRunner(tc.tamper, make(chan struct{})), "montecarlo")
+			cache := sweep.NewCache(64)
+			metrics := telemetry.NewRegistry()
+			rep, err := Run(context.Background(), specs, Options{
+				Workers: []string{liar.URL}, Cache: cache, Metrics: metrics,
+			})
+			if err == nil {
+				t.Fatalf("run over a lying worker succeeded: %+v", rep.Outcomes)
+			}
+			if n := cache.Len(); n != 0 {
+				t.Errorf("cache holds %d outcomes from the lying worker", n)
+			}
+			snap := metrics.Snapshot()
+			if snap["fairness_cluster_worker_quarantine_total"] != 1 || snap["fairness_cluster_outcomes_rejected_total"] != 1 {
+				t.Errorf("liar not rejected and quarantined once: %v", snap)
+			}
+		})
+		t.Run(tc.name+"/beside-honest", func(t *testing.T) {
+			claimed := make(chan struct{})
+			liar, _ := startRunWorker(t, tamperingRunner(tc.tamper, claimed), "montecarlo")
+			// The honest worker holds its first shard until the liar has
+			// one too, so the liar is sure to be claimed from.
+			plain := LocalRunner(sweep.Options{})
+			honest, _ := startRunWorker(t, func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
+				select {
+				case <-claimed:
+				case <-time.After(10 * time.Second):
+				}
+				return plain(ctx, specs, on)
+			}, "montecarlo")
+			cache := sweep.NewCache(64)
+			metrics := telemetry.NewRegistry()
+			rep, err := Run(context.Background(), specs, Options{
+				Workers: []string{liar.URL, honest.URL}, Cache: cache, Metrics: metrics,
+				BackoffBase: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonicalOutcomes(t, rep), canonicalOutcomes(t, local); got != want {
+				t.Errorf("outcomes beside a lying worker differ from local sweep:\n%s\n%s", got, want)
+			}
+			if got := metrics.Snapshot()["fairness_cluster_worker_quarantine_total"]; got != 1 {
+				t.Errorf("%v quarantines, want the liar's one", got)
+			}
+			// The cache holds the honest outcome of every scenario.
+			for _, o := range local.Outcomes {
+				cached, ok := cache.Get(sweep.CacheKey("montecarlo", o.Hash))
+				o.Name = ""
+				got := canonicalOutcomes(t, &sweep.Report{Outcomes: []sweep.Outcome{cached}})
+				if want := canonicalOutcomes(t, &sweep.Report{Outcomes: []sweep.Outcome{o}}); !ok || got != want {
+					t.Errorf("cache entry %.12s (present %v):\n%s\nwant\n%s", o.Hash, ok, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,6 +241,50 @@ func TestClusterZeroWorkersCompletesAfterSelfRegistration(t *testing.T) {
 	}
 	if snap["fairness_cluster_shards_claimed_total"] == 0 || snap["fairness_cluster_outcomes_streamed_total"] == 0 {
 		t.Errorf("counters never saw claims/streams: %v", snap)
+	}
+}
+
+// registerOnWait is a trace sink that registers a worker the moment a
+// run reports that it waits for one: the registration lands inside the
+// supervisor's scan of the pool.
+type registerOnWait struct {
+	once sync.Once
+	reg  *Registry
+	url  string
+	at   time.Time
+}
+
+func (w *registerOnWait) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"event":"cluster_waiting"`)) {
+		w.once.Do(func() {
+			w.at = time.Now()
+			w.reg.Register(w.url, "montecarlo", 0)
+		})
+	}
+	return len(p), nil
+}
+
+func TestClusterRegistrationDuringScanWakesSupervisor(t *testing.T) {
+	// A worker that registers while the supervisor scans the pool must
+	// be claimed from at once, not at the supervisor's next tick.
+	var firstClaim atomic.Int64 // unix nanoseconds
+	plain := LocalRunner(sweep.Options{})
+	w, _ := startRunWorker(t, func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
+		firstClaim.CompareAndSwap(0, time.Now().UnixNano())
+		return plain(ctx, specs, on)
+	}, "montecarlo")
+	reg := NewRegistry("montecarlo", time.Minute)
+	sink := &registerOnWait{reg: reg, url: w.URL}
+	if _, err := Run(context.Background(), testGrid(t), Options{
+		Registry: reg, Tracer: telemetry.NewTracer(sink),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sink.at.IsZero() {
+		t.Fatal("the run never reported waiting for a worker")
+	}
+	if wait := time.Unix(0, firstClaim.Load()).Sub(sink.at); wait >= supervisorInterval/2 {
+		t.Errorf("first claim %v after the registration; the supervisor slept through it", wait)
 	}
 }
 

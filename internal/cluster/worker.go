@@ -83,7 +83,10 @@ func LocalRunner(opts sweep.Options) RunFunc {
 
 // shardRequest is the claim body of POST /v1/shard. Labels is trace
 // baggage (tenant, job) the coordinator forwards so worker-side spans
-// and pprof profiles attribute shard work to its submitter.
+// and pprof profiles attribute shard work to its submitter. Only the
+// job service sets a tenant label, and a shard that carries one is
+// computed without the worker's cache: the job's coordinator keeps the
+// outcomes in the tenant's own cache namespace.
 type shardRequest struct {
 	ShardID   string            `json:"shard_id"`
 	Scenarios []scenario.Spec   `json:"scenarios"`
@@ -106,6 +109,27 @@ type shardSummary struct {
 // maxShardBodyBytes bounds claim bodies; even thousand-scenario shards
 // are far below this.
 const maxShardBodyBytes = 32 << 20
+
+// Timeouts of the HTTP servers that fairnessd and fairctl run. A
+// request's headers must arrive within ServerReadHeaderTimeout. An idle
+// keep-alive connection closes after ServerIdleTimeout, which outlasts
+// the 90 s IdleConnTimeout of a pooled http.Transport: the client drops
+// an idle connection first, so a server never closes one just as a
+// claim is sent on it. There is no read or write timeout, since shard
+// streams and claim bodies of up to 32 MiB are long-lived.
+const (
+	ServerReadHeaderTimeout = 10 * time.Second
+	ServerIdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns a server for h with the timeouts above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: ServerReadHeaderTimeout,
+		IdleTimeout:       ServerIdleTimeout,
+	}
+}
 
 // maxPendingShards caps the completed-but-unacked table so a coordinator
 // that never acks cannot grow worker memory without bound.
@@ -315,6 +339,12 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	ctx := telemetry.ContextWithSpan(r.Context(), eval.Context())
 	if len(req.Labels) > 0 {
 		ctx = telemetry.ContextWithBaggage(ctx, req.Labels)
+	}
+	if req.Labels["tenant"] != "" {
+		// A job's shard: the job's coordinator stores each outcome in the
+		// tenant's cache namespace. A copy in this worker's cache would
+		// cost a second write and serve the outcome to other tenants.
+		ctx = sweep.WithoutCache(ctx)
 	}
 	var stats sweep.Stats
 	var err error

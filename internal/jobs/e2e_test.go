@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -39,17 +40,28 @@ func (s *safeBuf) String() string {
 // startClusterWorker boots one in-process worker node and registers it.
 func startClusterWorker(t *testing.T, reg *cluster.Registry) {
 	t.Helper()
-	ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{}))
+	url := serveWorker(t, cluster.LocalRunner(sweep.Options{}), nil)
+	if err := reg.Register(url, "montecarlo", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serveWorker boots one in-process worker node over run for the rest of
+// the test and returns its URL. connState, when non-nil, sees every
+// change of state of the node's connections.
+func serveWorker(t *testing.T, run cluster.RunFunc, connState func(net.Conn, http.ConnState)) string {
+	t.Helper()
+	ws := cluster.NewWorkerServer(run)
 	mux := http.NewServeMux()
 	ws.Register(mux)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"status": "ok", "backend": "montecarlo"})
 	})
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewUnstartedServer(mux)
+	srv.Config.ConnState = connState
+	srv.Start()
 	t.Cleanup(srv.Close)
-	if err := reg.Register(srv.URL, "montecarlo", 0); err != nil {
-		t.Fatal(err)
-	}
+	return srv.URL
 }
 
 // traceEvents decodes the NDJSON trace buffer.

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,34 +314,102 @@ func TestManagerRetentionEvictsOldestFinished(t *testing.T) {
 }
 
 func TestTenantCacheNamespacesAreDisjoint(t *testing.T) {
-	base := sweep.NewCache(256)
-	m, err := NewManager(Config{Cache: base, Runner: LocalRunner(sweep.Options{}, 8)})
+	for _, tc := range []struct {
+		name string
+		// setup returns the manager's base cache and runner, and whether
+		// the runner's workers share the base cache's directory.
+		setup func(t *testing.T) (sweep.CacheStore, SweepRunner, bool)
+	}{
+		{"local", func(t *testing.T) (sweep.CacheStore, SweepRunner, bool) {
+			return sweep.NewCache(256), LocalRunner(sweep.Options{}, 8), false
+		}},
+		{"cluster", func(t *testing.T) (sweep.CacheStore, SweepRunner, bool) {
+			// Two workers on the manager's disk cache directory, as in the
+			// README's cluster deployment.
+			dir := t.TempDir()
+			var urls []string
+			for range 2 {
+				dc, err := sweep.NewDiskCache(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				urls = append(urls, serveWorker(t, cluster.LocalRunner(sweep.Options{Cache: dc}), nil))
+			}
+			base, err := sweep.NewDiskCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return base, ClusterRunner(cluster.Options{Workers: urls}), true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, runner, shared := tc.setup(t)
+			m, err := NewManager(Config{Cache: base, Runner: runner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			specs := jobSpecs(t, 9)
+
+			run := func(tenant string) JobInfo {
+				info, err := m.Submit(SubmitRequest{Tenant: tenant, Specs: specs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return waitState(t, m, info.ID, StateDone)
+			}
+			first := run("alpha")
+			if first.Stats.Computed != len(specs) {
+				t.Fatalf("cold run computed %d of %d", first.Stats.Computed, len(specs))
+			}
+			// Same tenant again: warm, everything from its namespace.
+			again := run("alpha")
+			if again.Stats.CacheHits != len(specs) {
+				t.Errorf("warm same-tenant run: %+v", again.Stats)
+			}
+			// A different tenant must NOT see alpha's entries.
+			other := run("beta")
+			if other.Stats.Computed != len(specs) {
+				t.Errorf("tenant beta warm-started from alpha's cache: %+v", other.Stats)
+			}
+			if shared {
+				// One write per computed outcome, into its tenant's
+				// namespace: the workers keep no copy of their own.
+				if got, want := base.Len(), first.Stats.Computed+other.Stats.Computed; got != want {
+					t.Errorf("shared cache holds %d entries for %d computed outcomes", got, want)
+				}
+			}
+		})
+	}
+}
+
+func TestClusterRunnerReusesOneConnectionPerWorker(t *testing.T) {
+	// A job runner keeps one keep-alive pool: five jobs in a row over two
+	// workers open one connection to each, not a pool of their own each.
+	var accepted atomic.Int64
+	countNew := func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	urls := []string{
+		serveWorker(t, cluster.LocalRunner(sweep.Options{}), countNew),
+		serveWorker(t, cluster.LocalRunner(sweep.Options{}), countNew),
+	}
+	m, err := NewManager(Config{Runner: ClusterRunner(cluster.Options{Workers: urls})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	specs := jobSpecs(t, 9)
-
-	run := func(tenant string) JobInfo {
-		info, err := m.Submit(SubmitRequest{Tenant: tenant, Specs: specs})
+	for i := range 5 {
+		info, err := m.Submit(SubmitRequest{Tenant: "acme", Specs: jobSpecs(t, uint64(40+i))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return waitState(t, m, info.ID, StateDone)
+		waitState(t, m, info.ID, StateDone)
 	}
-	first := run("alpha")
-	if first.Stats.Computed != len(specs) {
-		t.Fatalf("cold run computed %d of %d", first.Stats.Computed, len(specs))
-	}
-	// Same tenant again: warm, everything from its namespace.
-	again := run("alpha")
-	if again.Stats.CacheHits != len(specs) {
-		t.Errorf("warm same-tenant run: %+v", again.Stats)
-	}
-	// A different tenant must NOT see alpha's entries.
-	other := run("beta")
-	if other.Stats.Computed != len(specs) {
-		t.Errorf("tenant beta warm-started from alpha's cache: %+v", other.Stats)
+	if got := accepted.Load(); got != int64(len(urls)) {
+		t.Errorf("five jobs over %d workers opened %d connections, want one per worker", len(urls), got)
 	}
 }
 

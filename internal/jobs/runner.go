@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"net/http"
 
 	"repro/internal/cachestore"
 	"repro/internal/cluster"
@@ -21,8 +22,18 @@ type SweepRunner func(ctx context.Context, specs []scenario.Spec,
 // ClusterRunner executes jobs on the shared worker pool: each job is
 // one cluster.Run whose shard dispatch the manager's scheduler gates.
 // base is copied per job; its Gate and (when the manager namespaces a
-// cache) Cache fields are overridden.
+// cache) Cache fields are overridden. When base.HTTPClient is nil, the
+// runner builds one keep-alive client and every job dials the workers
+// through it, instead of through a pool of its own.
+//
+// A job's shards carry its tenant, and a worker computes them without
+// its own cache. Each outcome is therefore written once, into the
+// tenant's namespace of the manager's cache, and workers that share
+// that cache's directory keep no copy another tenant could hit.
 func ClusterRunner(base cluster.Options) SweepRunner {
+	if base.HTTPClient == nil {
+		base.HTTPClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
+	}
 	return func(ctx context.Context, specs []scenario.Spec,
 		gate cluster.DispatchGate, cache sweep.CacheStore) (*sweep.Report, error) {
 		o := base

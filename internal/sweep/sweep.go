@@ -152,6 +152,18 @@ type Report struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
+// noCacheKey marks a context whose sweeps run without a result cache.
+type noCacheKey struct{}
+
+// WithoutCache returns a context under which RunContext neither reads
+// nor fills Options.Cache: every unique scenario is evaluated, and
+// in-sweep deduplication still applies. A cluster worker runs a job's
+// shards this way, since the job's coordinator keeps their outcomes in
+// the tenant's own cache namespace.
+func WithoutCache(ctx context.Context) context.Context {
+	return context.WithValue(ctx, noCacheKey{}, true)
+}
+
 // Run evaluates every scenario and aggregates the outcomes. It is
 // RunContext with a background context.
 func Run(specs []scenario.Spec, opts Options) (*Report, error) {
@@ -169,8 +181,13 @@ func Run(specs []scenario.Spec, opts Options) (*Report, error) {
 // the rest zero-valued and the report marked Partial — together with
 // ctx.Err(). Completed outcomes are identical to what an uncancelled
 // sweep would have produced.
+//
+// Under a WithoutCache context the run ignores opts.Cache.
 func RunContext(ctx context.Context, specs []scenario.Spec, opts Options) (*Report, error) {
 	start := time.Now()
+	if ctx.Value(noCacheKey{}) != nil {
+		opts.Cache = nil
+	}
 	norm := make([]scenario.Spec, len(specs))
 	hashes := make([]string, len(specs))
 	for i, s := range specs {
