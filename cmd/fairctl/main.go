@@ -58,10 +58,9 @@
 //	                     stalls longer loses the shard
 //	-retries N           attempts per work item before the run fails
 //	-progress            print live progress lines to stderr
-//	-trace FILE          write the run's NDJSON trace events — sweep and
-//	                     cluster events (cluster_start, span_start,
-//	                     span_end, lease_expiry, worker_quarantine,
-//	                     cluster_done) — to FILE ("-" = stderr)
+//	-trace FILE          write the run's NDJSON span events — the sweep
+//	                     span and its pool_wait, dispatch and merge
+//	                     children — to FILE ("-" = stderr)
 //	-pprof               with -listen: mount net/http/pprof on the
 //	                     coordinator mux (the listener also serves
 //	                     GET /metrics with the run's registry)
@@ -214,7 +213,7 @@ func runCmd(args []string) error {
 	lease := fs.Duration("lease", 0, "per-shard stream-inactivity lease (0 = 5m)")
 	retries := fs.Int("retries", 0, "attempts per work item before the run fails (0 = default 3)")
 	progress := fs.Bool("progress", false, "print live progress lines to stderr")
-	traceFile := fs.String("trace", "", "write NDJSON trace events (cluster_start, span_start, lease_expiry, ...) to FILE (\"-\" = stderr)")
+	traceFile := fs.String("trace", "", "write NDJSON span events (sweep, pool_wait, dispatch, merge) to FILE (\"-\" = stderr)")
 	pprofFlag := fs.Bool("pprof", false, "with -listen: mount net/http/pprof on the coordinator mux")
 	seed := fs.Uint64("seed", 1, "sweep base seed for grid specs")
 	asJSON := fs.Bool("json", false, "print the report as JSON")

@@ -86,10 +86,9 @@
 //	-jobs-shard-size N  pin cluster-mode job shards to N scenarios (0 = adaptive)
 //	-jobs-weights CSV   per-tenant fair-share weights, "alice=3,bob=1"
 //	                    (unlisted tenants weigh 1)
-//	-trace FILE         write NDJSON trace events — sweep spans, and with
-//	                    -jobs every queue/scheduler decision (job_submit,
-//	                    job_dispatch, job_cancel, ...) — to FILE ("-" =
-//	                    stderr)
+//	-trace FILE         write NDJSON span events — sweep spans, and with
+//	                    -jobs each job's job, queued and gate_wait spans
+//	                    — to FILE ("-" = stderr)
 //
 // Run several fairnessd instances with -register pointed at a `fairctl
 // run -listen` coordinator (plus one shared -cache-dir) and they form a
@@ -154,7 +153,7 @@ func main() {
 	flag.IntVar(&cfg.jobsRetain, "jobs-retain", 0, "finished jobs kept per tenant (0 = 32)")
 	flag.IntVar(&cfg.jobsShardSize, "jobs-shard-size", 0, "pin cluster-mode job shards to N scenarios (0 = adaptive)")
 	flag.StringVar(&cfg.jobsWeights, "jobs-weights", "", `per-tenant fair-share weights, "alice=3,bob=1"`)
-	trace := flag.String("trace", "", `write NDJSON trace events to FILE ("-" = stderr)`)
+	trace := flag.String("trace", "", `write NDJSON span events to FILE ("-" = stderr)`)
 	flag.Parse()
 
 	if *trace != "" {

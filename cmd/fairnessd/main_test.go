@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -212,6 +213,33 @@ func TestSweepEndpointRejectsBadBodies(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+func TestSweepEndpointRejectsOversizedGrid(t *testing.T) {
+	// Four axes of 2000 values each name 1.6e13 scenarios; expanding
+	// them once panicked the handler.
+	var b strings.Builder
+	b.WriteString(`{"base":{"protocol":"pow","blocks":100,"trials":5}`)
+	for _, axis := range []string{"w", "v", "stake", "blocks"} {
+		b.WriteString(`,"` + axis + `":[`)
+		for i := range 2000 {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.Itoa(i + 1))
+		}
+		b.WriteByte(']')
+	}
+	b.WriteByte('}')
+	_, ts := testServer(t, config{})
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized grid: status %d, want 400", resp.StatusCode)
 	}
 }
 

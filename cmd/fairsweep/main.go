@@ -47,8 +47,9 @@
 //	               the verdict is resolved (montecarlo only); tuned with
 //	               -stop-confidence, -stop-min-trials, -stop-batch
 //	-repeat N      run the sweep N times against the shared cache
-//	-trace FILE    write NDJSON trace events — sweep_start, one sweep_eval
-//	               per unique scenario, sweep_done — to FILE ("-" = stderr)
+//	-trace FILE    write NDJSON span events — a sweep span with one
+//	               scenario span per unique scenario — to FILE ("-" =
+//	               stderr)
 //	-json          print the report as JSON instead of a table
 //	-ndjson        stream outcomes as NDJSON lines as they complete
 //	-out FILE      also write the JSON report to FILE
@@ -401,7 +402,7 @@ func runCmd(args []string) error {
 	backend := fs.String("backend", "montecarlo", "evaluator backend: montecarlo, theory, chainsim, arena")
 	af := addAdaptiveFlags(fs)
 	repeat := fs.Int("repeat", 1, "run the sweep N times against the shared cache")
-	traceFile := fs.String("trace", "", "write NDJSON trace events (sweep_start, sweep_eval, sweep_done) to FILE (\"-\" = stderr)")
+	traceFile := fs.String("trace", "", "write NDJSON span events (a sweep span, one scenario span per unique scenario) to FILE (\"-\" = stderr)")
 	asJSON := fs.Bool("json", false, "print the report as JSON")
 	asNDJSON := fs.Bool("ndjson", false, "stream outcomes as NDJSON lines as they complete")
 	outFile := fs.String("out", "", "also write the JSON report to FILE")
@@ -510,7 +511,7 @@ func benchCmd(args []string) error {
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "size cap for -cache-dir: evict LRU entries beyond N bytes (0 = unbounded)")
 	backend := fs.String("backend", "montecarlo", "evaluator backend: montecarlo, theory, chainsim, arena")
 	af := addAdaptiveFlags(fs)
-	traceFile := fs.String("trace", "", "write NDJSON trace events of both passes to FILE (\"-\" = stderr)")
+	traceFile := fs.String("trace", "", "write NDJSON span events of both passes to FILE (\"-\" = stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

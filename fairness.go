@@ -247,10 +247,10 @@ type (
 	MetricsCounter   = telemetry.Counter
 	MetricsGauge     = telemetry.Gauge
 	MetricsHistogram = telemetry.Histogram
-	// Tracer writes the engine's structured trace-event stream as
-	// NDJSON: sweep spans, per-scenario evaluations with cache state,
-	// and in cluster mode the full shard lifecycle (claims, streams,
-	// acks, requeues, lease expiries, quarantines).
+	// Tracer writes the engine's spans as NDJSON span_start/span_end
+	// events: a sweep span with one scenario span per unique scenario
+	// (cache state on its end), and in cluster mode the shard lifecycle
+	// as dispatch spans (claims, acks, requeues, quarantines).
 	Tracer = telemetry.Tracer
 	// SpanContext identifies one span in one distributed trace — the
 	// value the X-Fairness-Trace header carries across process hops.
@@ -425,7 +425,7 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 // their global trial/block/fork totals.
 func DefaultMetrics() *MetricsRegistry { return telemetry.Default() }
 
-// NewTracer returns a Tracer writing NDJSON trace events to w — what
+// NewTracer returns a Tracer writing NDJSON span events to w — what
 // `fairsweep run -trace` and `fairctl run -trace` wire up. The caller
 // owns w's lifetime.
 func NewTracer(w io.Writer) *Tracer { return telemetry.NewTracer(w) }

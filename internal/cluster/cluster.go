@@ -139,12 +139,11 @@ type Options struct {
 	// cumulative across runs sharing the registry. Engine-driven runs
 	// inherit the engine's registry automatically.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives the scheduling span as NDJSON trace
-	// events: cluster_start, lease_expiry, worker_quarantine,
-	// cluster_waiting, cluster_done — plus the paired span_start/span_end
-	// events of the run's distributed trace (sweep, gate_wait, dispatch,
-	// merge spans; worker-side eval spans are parented under dispatch via
-	// the X-Fairness-Trace header).
+	// Tracer, when non-nil, receives the run's coordinator spans as
+	// span_start/span_end NDJSON events: the sweep span and its pool_wait,
+	// dispatch and merge children (worker-side eval spans are parented
+	// under dispatch via the X-Fairness-Trace header). A dispatch span
+	// that cost its worker a quarantine ends with quarantine=<reason>.
 	Tracer *telemetry.Tracer
 	// Recorder, when non-nil, holds the run's coordinator spans: open
 	// ones while they are in flight, completed ones in a bounded
@@ -377,15 +376,13 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 	rep.Stats.Scenarios = len(specs)
 
 	met := newMeters(opts.Metrics)
-	opts.Tracer.Emit("cluster_start",
-		"backend", backend, "scenarios", len(specs), "unique", len(uniq),
-		"registry_mode", registryMode, "static_workers", len(opts.Workers))
 
 	// The run's trace: one sweep span covering the whole distributed run,
 	// rooted under the caller's span (a job's root span, via ctx) or a
 	// fresh trace. Every shard dispatch and gate wait below is a child.
 	bag := telemetry.BaggageFrom(ctx)
-	spanAttrs := []any{"backend", backend, "scenarios", len(specs), "unique", len(uniq)}
+	spanAttrs := []any{"backend", backend, "scenarios", len(specs), "unique", len(uniq),
+		"registry_mode", registryMode, "static_workers", len(opts.Workers)}
 	if v, ok := bag["tenant"]; ok {
 		spanAttrs = append(spanAttrs, "tenant", v)
 	}
@@ -482,7 +479,9 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 			},
 			addTrials: func(n int64) { mu.Lock(); trialsRun += n; mu.Unlock() },
 		}
-		if err := runScheduler(ctx, items, opts, run, reg); err != nil {
+		// The gate sees the sweep span, so its waits parent under it.
+		sctx := telemetry.ContextWithSpan(ctx, runSpan.Context())
+		if err := runScheduler(sctx, items, opts, run, reg); err != nil {
 			if ctx.Err() != nil {
 				// Partial report, local-sweep cancellation semantics.
 				mu.Lock()
@@ -498,12 +497,9 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 				rep.Stats.TrialsRun = trialsRun
 				mu.Unlock()
 				rep.Stats.WallMS = float64(time.Since(start).Microseconds()) / 1000
-				opts.Tracer.Emit("cluster_done",
-					"backend", backend, "partial", true,
-					"computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
-					"wall_ms", rep.Stats.WallMS)
 				runSpan.End("partial", true, "computed", rep.Stats.Computed,
-					"local_cache_hits", localHits)
+					"cache_hits", rep.Stats.CacheHits, "local_cache_hits", localHits,
+					"trials_run", rep.Stats.TrialsRun, "wall_ms", rep.Stats.WallMS)
 				return rep, ctx.Err()
 			}
 			runSpan.End("error", err.Error())
@@ -524,13 +520,9 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 	rep.Stats.CacheHits = len(specs) - rep.Stats.Computed
 	rep.Stats.WallMS = float64(time.Since(start).Microseconds()) / 1000
 	mergeSpan.End("computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits)
-	opts.Tracer.Emit("cluster_done",
-		"backend", backend, "scenarios", rep.Stats.Scenarios,
-		"computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
+	runSpan.End("computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
 		"local_cache_hits", localHits, "trials_run", rep.Stats.TrialsRun,
 		"wall_ms", rep.Stats.WallMS)
-	runSpan.End("computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
-		"local_cache_hits", localHits, "wall_ms", rep.Stats.WallMS)
 	return rep, nil
 }
 
@@ -595,7 +587,7 @@ type clusterRun struct {
 	backend string
 	met     *meters
 	// span is the run's sweep-span context: the parent of every
-	// gate_wait/dispatch span, and (via the X-Fairness-Trace header) of
+	// pool_wait/dispatch span, and (via the X-Fairness-Trace header) of
 	// the workers' eval spans. labels is the shippable baggage (tenant,
 	// job) stamped on shard requests.
 	span         telemetry.SpanContext
@@ -706,10 +698,17 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 	// signals and a coarse ticker both trigger a re-scan, so a worker
 	// registering mid-run joins within milliseconds. Registry-backed
 	// runs that find themselves with work but no live worker WAIT for
-	// one to register — loudly: the transition into the empty-pool wait
-	// raises the fairness_cluster_waiting gauge and emits a
-	// cluster_waiting trace event, instead of stalling silently.
-	waiting := false
+	// one to register — loudly: the wait raises the
+	// fairness_cluster_waiting gauge and is a pool_wait span under the
+	// run, instead of stalling silently.
+	var poolWait *telemetry.Span // open while the run waits for a worker
+	endWait := func() {
+		if poolWait != nil {
+			opts.Metrics.Gauge("fairness_cluster_waiting").Set(0)
+			poolWait.End()
+			poolWait = nil
+		}
+	}
 	checkWaiting := func() {
 		if !run.registryMode {
 			return
@@ -719,16 +718,13 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 		workLeft := queued > 0 || s.outstanding > 0
 		stalled := workLeft && s.failed == nil && !s.finished && len(reg.Live()) == 0
 		s.mu.Unlock()
-		if stalled == waiting {
-			return
-		}
-		waiting = stalled
-		if stalled {
+		switch {
+		case stalled && poolWait == nil:
 			opts.Metrics.Gauge("fairness_cluster_waiting").Set(1)
-			opts.Tracer.Emit("cluster_waiting",
-				"reason", "no live workers", "queued", queued)
-		} else {
-			opts.Metrics.Gauge("fairness_cluster_waiting").Set(0)
+			poolWait = telemetry.StartSpan(opts.Tracer, opts.Recorder, run.span,
+				"coordinator", "pool_wait", "reason", "no live workers", "queued", queued)
+		case !stalled:
+			endWait()
 		}
 	}
 	// Each scan takes the registry's watch channel first, so a worker
@@ -746,10 +742,7 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 			case <-watch:
 			case <-tick.C:
 			case <-s.runDone:
-				if waiting {
-					waiting = false
-					opts.Metrics.Gauge("fairness_cluster_waiting").Set(0)
-				}
+				endWait()
 				return
 			}
 			watch = reg.Watch()
@@ -842,17 +835,14 @@ func (s *sched) workerLoop(url string) {
 		// Ask the dispatch gate (if any) before cutting the shard. The
 		// grant is held until the items are merged or requeued; the queue
 		// is re-checked under lock afterwards because other loops may
-		// have drained it while this one waited at the gate. The wait is
-		// a gate_wait span under the run — the fair-share queueing stage
-		// of the trace's per-stage breakdown.
+		// have drained it while this one waited at the gate. runCtx
+		// carries the run's sweep span, so a gate that traces its waits
+		// (the job scheduler's gate_wait) parents them under the run.
 		release := func() {}
 		granted := want
 		if s.opts.Gate != nil {
-			gw := telemetry.StartSpan(s.opts.Tracer, s.opts.Recorder,
-				s.run.span, "coordinator", "gate_wait", "worker", url, "want", want)
 			var err error
 			granted, release, err = s.opts.Gate.Acquire(s.runCtx, want)
-			gw.End("granted", granted)
 			if err != nil {
 				return
 			}
@@ -918,9 +908,8 @@ func (s *sched) workerLoop(url string) {
 				remainder = append(remainder, it)
 			}
 		}
-		leaseExpired := errors.Is(err, errLeaseExpired)
-		dsp.End("status", "requeued", "error", err.Error(),
-			"delivered", len(deliveredOut), "remainder", len(remainder))
+		failAttrs := []any{"status", "requeued", "error", err.Error(),
+			"delivered", len(deliveredOut), "remainder", len(remainder)}
 		s.mu.Lock()
 		s.outstanding -= n
 		if s.failed == nil && !s.finished {
@@ -940,26 +929,31 @@ func (s *sched) workerLoop(url string) {
 		s.cond.Broadcast()
 		s.run.met.requeued.Inc()
 		if terminal || s.runCtx.Err() != nil {
+			dsp.End(failAttrs...)
 			return
 		}
-		if leaseExpired {
-			// The worker is answering healthz but not finishing work —
-			// quarantine it so it cannot keep reclaiming the queue.
+		// The dispatch span ends once the worker's fate is known: a
+		// worker that is answering healthz but not finishing work, or
+		// that computes something other than what it was asked, or that
+		// fails its liveness probe is quarantined, so it cannot keep
+		// reclaiming the queue.
+		reason := ""
+		switch {
+		case errors.Is(err, errLeaseExpired):
 			s.opts.Metrics.Counter("fairness_cluster_lease_expiry_total").Inc()
-			s.opts.Tracer.Emit("lease_expiry", "worker", url, "shard", t.id)
-			s.quarantine(url, "lease expired")
+			reason = "lease expired"
+		case errors.Is(err, errBadOutcome):
+			reason = "bad outcome"
+		case !Probe(s.runCtx, s.run.client, url, s.run.probeTimeout).OK:
+			reason = "health probe failed"
+		}
+		if reason != "" {
+			s.reg.Penalize(url)
+			s.opts.Metrics.Counter("fairness_cluster_worker_quarantine_total").Inc()
+			dsp.End(append(failAttrs, "quarantine", reason)...)
 			return
 		}
-		if errors.Is(err, errBadOutcome) {
-			// A worker that computes something other than what it was
-			// asked will do so again: quarantine it too.
-			s.quarantine(url, "bad outcome")
-			return
-		}
-		if !Probe(s.runCtx, s.run.client, url, s.run.probeTimeout).OK {
-			s.quarantine(url, "health probe failed")
-			return
-		}
+		dsp.End(failAttrs...)
 		// Alive but failing: back off this worker only; the requeued
 		// items are already stealable by everyone else. The shift is
 		// capped — consecFails is unbounded on a multi-worker pool
@@ -976,14 +970,6 @@ func (s *sched) workerLoop(url string) {
 			return
 		}
 	}
-}
-
-// quarantine penalizes a misbehaving worker in the registry and records
-// the event on the run's metrics and trace stream.
-func (s *sched) quarantine(url, reason string) {
-	s.reg.Penalize(url)
-	s.opts.Metrics.Counter("fairness_cluster_worker_quarantine_total").Inc()
-	s.opts.Tracer.Emit("worker_quarantine", "worker", url, "reason", reason)
 }
 
 // estimateTrials approximates the Monte-Carlo trials behind one merged

@@ -245,7 +245,7 @@ func TestClusterZeroWorkersCompletesAfterSelfRegistration(t *testing.T) {
 }
 
 // registerOnWait is a trace sink that registers a worker the moment a
-// run reports that it waits for one: the registration lands inside the
+// run opens its pool_wait span: the registration lands inside the
 // supervisor's scan of the pool.
 type registerOnWait struct {
 	once sync.Once
@@ -255,7 +255,7 @@ type registerOnWait struct {
 }
 
 func (w *registerOnWait) Write(p []byte) (int, error) {
-	if bytes.Contains(p, []byte(`"event":"cluster_waiting"`)) {
+	if bytes.Contains(p, []byte(`"event":"span_start"`)) && bytes.Contains(p, []byte(`"span":"pool_wait"`)) {
 		w.once.Do(func() {
 			w.at = time.Now()
 			w.reg.Register(w.url, "montecarlo", 0)

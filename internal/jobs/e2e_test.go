@@ -158,8 +158,17 @@ func TestJobsOverClusterFairInterleavingAndBitIdentical(t *testing.T) {
 
 	// Hold worker registration until BOTH cluster runs are live and
 	// waiting, so dispatch is contested from the very first shard.
+	coordinatorSweeps := func() int {
+		n := 0
+		for _, ev := range traceEvents(t, trace.String()) {
+			if ev["event"] == "span_start" && ev["span"] == "sweep" && ev["service"] == "coordinator" {
+				n++
+			}
+		}
+		return n
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for strings.Count(trace.String(), `"event":"cluster_start"`) < 2 {
+	for coordinatorSweeps() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("cluster runs never started")
 		}
@@ -180,9 +189,11 @@ func TestJobsOverClusterFairInterleavingAndBitIdentical(t *testing.T) {
 	// requesting: worker discovery and goroutine wakeup are a race the
 	// scheduler cannot arbitrate) up to tenant-b's last dispatch (after
 	// b drains, a runs uncontested by design).
+	// A granted gate_wait span ends under the scheduler lock, so the end
+	// lines are in grant order.
 	var dispatches []string
 	for _, ev := range traceEvents(t, trace.String()) {
-		if ev["event"] == "job_dispatch" {
+		if ev["event"] == "span_end" && ev["span"] == "gate_wait" && ev["granted"] != nil {
 			dispatches = append(dispatches, ev["tenant"].(string))
 		}
 	}

@@ -150,12 +150,13 @@ type Config struct {
 	// Cache, when non-nil, is the base result cache; each tenant reads
 	// and writes through its own namespace of it.
 	Cache sweep.CacheStore
-	// Metrics and Tracer receive fairness_jobs_* series and job_* trace
-	// events. Both may be nil.
+	// Metrics receives the fairness_jobs_* series, and Tracer the job
+	// service's spans (job, queued, gate_wait) as NDJSON. Both may be
+	// nil.
 	Metrics *telemetry.Registry
 	Tracer  *telemetry.Tracer
-	// Recorder, when non-nil, retains the job service's completed spans
-	// (job root, queued) for GET /v1/traces. Share one recorder with the
+	// Recorder, when non-nil, retains the job service's spans (job root,
+	// queued, gate_wait) for GET /v1/traces. Share one recorder with the
 	// cluster coordinator so a job's whole trace is served from one ring.
 	Recorder *telemetry.FlightRecorder
 }
@@ -185,7 +186,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:          cfg,
-		sched:        NewScheduler(cfg.Capacity, cfg.Metrics, cfg.Tracer),
+		sched:        NewScheduler(cfg.Capacity, cfg.Metrics, cfg.Tracer, cfg.Recorder),
 		slots:        make(chan struct{}, valueOr(cfg.MaxConcurrentJobs, 64)),
 		jobs:         make(map[string]*job),
 		queuedGauge:  cfg.Metrics.Gauge("fairness_jobs_queued"),
@@ -243,7 +244,6 @@ func (m *Manager) Submit(req SubmitRequest) (JobInfo, error) {
 	if open >= valueOr(m.cfg.MaxQueuedPerTenant, 16) {
 		m.mu.Unlock()
 		m.cfg.Metrics.Counter("fairness_jobs_quota_rejected_total", "tenant", tenant).Inc()
-		m.cfg.Tracer.Emit("quota_reject", "tenant", tenant, "open_jobs", open)
 		return JobInfo{}, fmt.Errorf("%w: tenant %q has %d open jobs", ErrQuota, tenant, open)
 	}
 
@@ -290,10 +290,6 @@ func (m *Manager) Submit(req SubmitRequest) (JobInfo, error) {
 	m.mu.Unlock()
 
 	m.cfg.Metrics.Counter("fairness_jobs_submitted_total", "tenant", tenant).Inc()
-	m.cfg.Tracer.Emit("job_submit",
-		"job", info.ID, "tenant", tenant, "name", req.Name,
-		"scenarios", len(req.Specs), "priority", req.Priority,
-		"trace_id", info.TraceID)
 
 	go m.runJob(ctx, j, deadline)
 	return info, nil
@@ -314,10 +310,6 @@ func (m *Manager) runJob(ctx context.Context, j *job, deadline time.Time) {
 	defer func() { <-m.slots }()
 
 	m.mu.Lock()
-	if j.info.State != StateQueued { // cancelled in the gap
-		m.mu.Unlock()
-		return
-	}
 	j.info.State = StateRunning
 	j.info.StartedMS = time.Now().UnixMilli()
 	info := j.info
@@ -325,8 +317,6 @@ func (m *Manager) runJob(ctx context.Context, j *job, deadline time.Time) {
 	m.runningGauge.Add(1)
 	m.mu.Unlock()
 	j.queued.End("state", "running")
-	m.cfg.Tracer.Emit("job_start", "job", info.ID, "tenant", info.Tenant,
-		"trace_id", info.TraceID)
 
 	gate := m.sched.Gate(info.Tenant, info.ID, info.Priority, deadline)
 	var cache sweep.CacheStore
@@ -344,8 +334,19 @@ func (m *Manager) runJob(ctx context.Context, j *job, deadline time.Time) {
 	m.finishJob(j, rep, err)
 }
 
-// finishJob records a job's terminal state and applies retention.
+// finishJob records a job's terminal state and applies retention. A
+// partial report keeps only the positions that were filled, in input
+// order: each outcome carries its spec, so the placeholders add nothing.
 func (m *Manager) finishJob(j *job, rep *sweep.Report, err error) {
+	if rep != nil && rep.Partial {
+		filled := rep.Outcomes[:0]
+		for _, out := range rep.Outcomes {
+			if out.Hash != "" {
+				filled = append(filled, out)
+			}
+		}
+		rep.Outcomes = filled
+	}
 	m.mu.Lock()
 	prev := j.info.State
 	switch {
@@ -379,12 +380,13 @@ func (m *Manager) finishJob(j *job, rep *sweep.Report, err error) {
 	// Close the trace: the queued child first (a no-op unless the job was
 	// cancelled while still queued — End is idempotent), then the root.
 	j.queued.End("state", string(info.State))
-	j.span.End("state", string(info.State), "partial", info.Partial)
+	end := []any{"state", string(info.State), "partial", info.Partial}
+	if info.Error != "" {
+		end = append(end, "error", info.Error)
+	}
+	j.span.End(end...)
 
 	m.cfg.Metrics.Counter("fairness_jobs_finished_total", "state", string(info.State)).Inc()
-	m.cfg.Tracer.Emit("job_finish",
-		"job", info.ID, "tenant", info.Tenant, "state", string(info.State),
-		"partial", info.Partial, "error", info.Error, "trace_id", info.TraceID)
 }
 
 // pruneLocked evicts the tenant's oldest finished jobs beyond the
@@ -467,7 +469,6 @@ func (m *Manager) Cancel(id string) (JobInfo, error) {
 	cancel := j.cancel
 	m.mu.Unlock()
 	if !info.State.Terminal() {
-		m.cfg.Tracer.Emit("job_cancel", "job", id, "tenant", info.Tenant)
 		cancel()
 	}
 	return info, nil
@@ -496,9 +497,9 @@ func (m *Manager) Results(id, pageToken string, pageSize int) (ResultsPage, erro
 		m.mu.Unlock()
 		return ResultsPage{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	if !j.info.State.Terminal() {
+	if state := j.info.State; !state.Terminal() {
 		m.mu.Unlock()
-		return ResultsPage{}, fmt.Errorf("%w: %s is %s", ErrNotFinished, id, j.info.State)
+		return ResultsPage{}, fmt.Errorf("%w: %s is %s", ErrNotFinished, id, state)
 	}
 	info := j.info
 	var outcomes []sweep.Outcome

@@ -41,21 +41,7 @@ func ClusterRunner(base cluster.Options) SweepRunner {
 		if cache != nil {
 			o.Cache = cache
 		}
-		rep, err := cluster.Run(ctx, specs, o)
-		if rep != nil && (err != nil || rep.Partial) {
-			// A torn cluster run leaves holes for shards that never
-			// finished; keep only the outcomes that actually computed, in
-			// stream order. Each outcome carries its spec, so nothing is
-			// lost by dropping the placeholders.
-			filled := rep.Outcomes[:0]
-			for _, out := range rep.Outcomes {
-				if out.Hash != "" {
-					filled = append(filled, out)
-				}
-			}
-			rep.Outcomes = filled
-		}
-		return rep, err
+		return cluster.Run(ctx, specs, o)
 	}
 }
 
@@ -103,16 +89,6 @@ func LocalRunner(opts sweep.Options, chunk int) SweepRunner {
 			if err != nil {
 				rep.Partial = true
 				rep.Stats.Scenarios = len(specs)
-				// Trim trailing unfilled outcomes the partial chunk did
-				// not reach; completed prefixes stay, like a torn
-				// cluster stream.
-				trimmed := rep.Outcomes[:0]
-				for _, o := range rep.Outcomes {
-					if o.Hash != "" {
-						trimmed = append(trimmed, o)
-					}
-				}
-				rep.Outcomes = trimmed
 				return rep, err
 			}
 			pos += granted

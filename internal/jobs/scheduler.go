@@ -42,6 +42,7 @@ type Scheduler struct {
 	capacity func() int // max concurrently outstanding grants (<1 reads as 1)
 	metrics  *telemetry.Registry
 	tracer   *telemetry.Tracer
+	recorder *telemetry.FlightRecorder
 
 	mu          sync.Mutex
 	tenants     map[string]*schedTenant
@@ -62,13 +63,12 @@ type schedTenant struct {
 
 // gateReq is one blocked Acquire.
 type gateReq struct {
-	tenant  *schedTenant
-	job     string
-	traceID string // the acquiring context's trace, stamped on job_dispatch
-	want    int
-	eff     float64 // effective weight at enqueue time
-	seq     uint64
-	ch      chan grant // buffered(1); receives exactly once if granted
+	tenant *schedTenant
+	want   int
+	eff    float64 // effective weight at enqueue time
+	seq    uint64
+	span   *telemetry.Span // the wait's gate_wait span, ended at the grant
+	ch     chan grant      // buffered(1); receives exactly once if granted
 }
 
 type grant struct {
@@ -80,13 +80,15 @@ type grant struct {
 // be outstanding at once — fairness only binds when dispatch is scarcer
 // than demand, so pass something proportional to the worker pool (the
 // manager uses 2× live workers for cluster runs, 1 for local runs). A
-// nil capacity or one returning < 1 reads as 1. Metrics and tracer may
-// be nil.
-func NewScheduler(capacity func() int, m *telemetry.Registry, tr *telemetry.Tracer) *Scheduler {
+// nil capacity or one returning < 1 reads as 1. Each wait at a gate is a
+// gate_wait span on tr and rec, under the acquiring context's span.
+// Metrics, tracer and recorder may be nil.
+func NewScheduler(capacity func() int, m *telemetry.Registry, tr *telemetry.Tracer, rec *telemetry.FlightRecorder) *Scheduler {
 	return &Scheduler{
 		capacity: capacity,
 		metrics:  m,
 		tracer:   tr,
+		recorder: rec,
 		tenants:  make(map[string]*schedTenant),
 	}
 }
@@ -161,13 +163,17 @@ func (g *schedGate) effWeight(base float64) float64 {
 // Acquire implements cluster.DispatchGate: block until the scheduler
 // picks this job's tenant for the next dispatch, then return how many
 // scenarios may ship (possibly fewer than want, clamped by the tenant's
-// in-flight quota) and a release to call when they land.
+// in-flight quota) and a release to call when they land. The wait is a
+// gate_wait span under ctx's span; it ends at the grant, under the
+// scheduler lock, so gate_wait end lines are in grant order.
 func (g *schedGate) Acquire(ctx context.Context, want int) (int, func(), error) {
 	if want < 1 {
 		want = 1
 	}
 	s := g.s
 	waitStart := time.Now()
+	span := telemetry.StartSpan(s.tracer, s.recorder, telemetry.SpanContextFrom(ctx),
+		"jobs", "gate_wait", "tenant", g.tenant, "job", g.job, "want", want)
 
 	s.mu.Lock()
 	t := s.tenantLocked(g.tenant)
@@ -182,13 +188,12 @@ func (g *schedGate) Acquire(ctx context.Context, want int) (int, func(), error) 
 	}
 	t.active++
 	req := &gateReq{
-		tenant:  t,
-		job:     g.job,
-		traceID: telemetry.SpanContextFrom(ctx).TraceID,
-		want:    want,
-		eff:     g.effWeight(t.weight),
-		seq:     s.seq,
-		ch:      make(chan grant, 1),
+		tenant: t,
+		want:   want,
+		eff:    g.effWeight(t.weight),
+		seq:    s.seq,
+		span:   span,
+		ch:     make(chan grant, 1),
 	}
 	s.seq++
 	s.pending = append(s.pending, req)
@@ -205,6 +210,7 @@ func (g *schedGate) Acquire(ctx context.Context, want int) (int, func(), error) 
 		removed := s.removePendingLocked(req)
 		if removed {
 			t.active--
+			span.End("status", "cancelled")
 		}
 		s.mu.Unlock()
 		if !removed {
@@ -287,9 +293,7 @@ func (s *Scheduler) grantLocked() {
 		s.metrics.Counter("fairness_jobs_dispatches_total", "tenant", t.name).Inc()
 		s.metrics.Counter("fairness_jobs_scenarios_dispatched_total", "tenant", t.name).Add(int64(n))
 		s.metrics.Gauge("fairness_jobs_inflight_scenarios", "tenant", t.name).Set(float64(t.inflight))
-		s.tracer.Emit("job_dispatch",
-			"tenant", t.name, "job", best.job, "granted", n, "pass", t.pass,
-			"trace_id", best.traceID)
+		best.span.End("tenant", t.name, "granted", n, "pass", t.pass)
 
 		granted := n
 		var once sync.Once

@@ -47,15 +47,26 @@ type Grid struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// Size returns the number of concrete scenarios the grid expands to.
-func (g Grid) Size() int {
-	size := 1
-	for _, n := range []int{
+// maxGridCells bounds a grid's expansion, about what a 4 MiB explicit
+// scenario array can carry. A small grid document can name far more
+// cells than memory holds, so Expand checks the count before it
+// allocates anything.
+const maxGridCells = 1 << 18
+
+// axisLens returns the lengths of the grid's axes.
+func (g Grid) axisLens() [13]int {
+	return [...]int{
 		len(g.Protocols), len(g.W), len(g.V), len(g.Stake),
 		len(g.Miners), len(g.Blocks), len(g.Trials), len(g.Withhold),
 		len(g.Strategies), len(g.Gamma), len(g.Delay), len(g.Every),
 		len(g.ForkRate),
-	} {
+	}
+}
+
+// Size returns the number of concrete scenarios the grid expands to.
+func (g Grid) Size() int {
+	size := 1
+	for _, n := range g.axisLens() {
 		if n > 0 {
 			size *= n
 		}
@@ -81,6 +92,16 @@ func (g Grid) baseSeed() uint64 {
 // grid seed and its own parameter content, so the list — seeds included
 // — is a pure function of the grid.
 func (g Grid) Expand() ([]Spec, error) {
+	size := 1
+	for _, n := range g.axisLens() {
+		if n == 0 {
+			continue
+		}
+		if size > maxGridCells/n { // size*n > maxGridCells, without overflow
+			return nil, fmt.Errorf("%w: grid expands to more than %d scenarios", ErrSpec, maxGridCells)
+		}
+		size *= n
+	}
 	protocols := g.Protocols
 	if len(protocols) == 0 {
 		protocols = []string{g.Base.Protocol}
@@ -98,7 +119,7 @@ func (g Grid) Expand() ([]Spec, error) {
 	if a := g.Base.Adversary; a != nil {
 		baseStrategy, baseGamma, baseDelay, baseEvery = a.Strategy, a.Gamma, a.Delay, a.Every
 	}
-	specs := make([]Spec, 0, g.Size())
+	specs := make([]Spec, 0, size)
 	base := g.baseSeed()
 	for _, proto := range protocols {
 		for _, w := range orFloat(g.W, g.Base.W) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -335,6 +336,47 @@ func TestGridExpandValidates(t *testing.T) {
 	g := Grid{Protocols: []string{"pow"}, W: []float64{-1}}
 	if _, err := g.Expand(); !errors.Is(err, ErrSpec) {
 		t.Errorf("err = %v, want ErrSpec", err)
+	}
+}
+
+// oversizedGrid is a 46 KB grid document with four axes of 2000 values
+// each: 1.6e13 cells.
+func oversizedGrid() []byte {
+	var b strings.Builder
+	b.WriteString(`{"base":{"protocol":"pow","blocks":100,"trials":5}`)
+	for _, axis := range []string{"w", "v", "stake", "blocks"} {
+		b.WriteString(`,"` + axis + `":[`)
+		for i := range 2000 {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.Itoa(i + 1))
+		}
+		b.WriteByte(']')
+	}
+	b.WriteByte('}')
+	return []byte(b.String())
+}
+
+func TestOversizedGridIsASpecError(t *testing.T) {
+	// Expanding the grid once allocated all its cells up front: this one
+	// asked for more than the allocator can give, and panicked.
+	if _, err := DecodeSpecsOrGrid(oversizedGrid(), 0); !errors.Is(err, ErrSpec) {
+		t.Errorf("oversized grid: err = %v, want ErrSpec", err)
+	}
+	// A grid at the bound passes the size check, so its invalid first
+	// cell is what fails; one more value and the size check fails first.
+	g := Grid{Base: Spec{Protocol: "pow", Blocks: 100, Trials: 5}, W: []float64{-1}}
+	for i := range 1 << 9 {
+		g.Blocks = append(g.Blocks, 100+i)
+		g.Trials = append(g.Trials, 5+i)
+	}
+	if _, err := g.Expand(); err == nil || strings.Contains(err.Error(), "more than") {
+		t.Errorf("grid of %d cells: err = %v, want the invalid cell's error", g.Size(), err)
+	}
+	g.Trials = append(g.Trials, 1000)
+	if _, err := g.Expand(); !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), "more than") {
+		t.Errorf("grid of %d cells: err = %v, want the size bound", g.Size(), err)
 	}
 }
 

@@ -74,8 +74,9 @@ type Options struct {
 	// fairness_eval_seconds latency histogram. Handles are resolved once
 	// per run, so the per-scenario cost is a few atomic adds.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives the sweep's structured trace events
-	// (sweep_start, one sweep_eval per unique scenario, sweep_done).
+	// Tracer, when non-nil, receives the sweep's spans: one sweep span
+	// (service "local") under the context's span, or rooting a fresh
+	// trace, with one scenario span per unique scenario beneath it.
 	Tracer *telemetry.Tracer
 }
 
@@ -245,15 +246,10 @@ func RunContext(ctx context.Context, specs []scenario.Spec, opts Options) (*Repo
 		mTrials    = opts.Metrics.Counter("fairness_sweep_trials_total", "backend", backend)
 		hEval      = opts.Metrics.Histogram("fairness_eval_seconds", telemetry.DefBuckets, "backend", backend)
 	)
-	// When the caller's context carries a span (a traced job or cluster
-	// run), every flat sweep event is stamped with its trace_id so the
-	// NDJSON stream joins against the span tree.
-	var traceAttrs []any
-	if tid := telemetry.SpanContextFrom(ctx).TraceID; tid != "" {
-		traceAttrs = []any{"trace_id", tid}
-	}
-	opts.Tracer.Emit("sweep_start", append([]any{
-		"backend", backend, "scenarios", len(specs), "unique", len(uniq)}, traceAttrs...)...)
+	// The sweep span joins the caller's trace (a traced job or cluster
+	// worker), or roots one of its own.
+	span := telemetry.StartSpan(opts.Tracer, nil, telemetry.SpanContextFrom(ctx),
+		"local", "sweep", "backend", backend, "scenarios", len(specs), "unique", len(uniq))
 
 	var (
 		wg        sync.WaitGroup
@@ -274,25 +270,25 @@ func RunContext(ctx context.Context, specs []scenario.Spec, opts Options) (*Repo
 				}
 				idxs := groups[h]
 				spec := norm[idxs[0]]
+				sc := telemetry.StartSpan(opts.Tracer, nil, span.Context(), "local", "scenario",
+					"hash", h, "name", specs[idxs[0]].Name)
 				out, hit, trials, err := evaluate(ctx, ev, spec, h, opts.Cache)
 				trialsRun.Add(trials)
 				mTrials.Add(trials)
 				if err != nil {
+					sc.End("error", err.Error())
 					if ctx.Err() != nil {
 						continue // cancellation, not an evaluation failure
 					}
 					errOnce.Do(func() { firstErr = fmt.Errorf("sweep: scenario %q: %w", specs[idxs[0]].Name, err) })
 					continue
 				}
+				sc.End("cache_hit", hit, "trials", trials, "positions", len(idxs))
 				if !hit {
 					computed.Add(1)
 					mComputed.Inc()
 					hEval.Observe(out.ElapsedMS / 1000)
 				}
-				opts.Tracer.Emit("sweep_eval", append([]any{"backend", backend, "hash", h,
-					"name", specs[idxs[0]].Name, "cache_hit", hit,
-					"elapsed_ms", out.ElapsedMS, "trials", trials, "positions", len(idxs)},
-					traceAttrs...)...)
 				for j, idx := range idxs {
 					o := out
 					o.Name = specs[idx].Name
@@ -329,7 +325,9 @@ dispatch:
 	rep.Stats.TrialsRun = trialsRun.Load()
 	rep.Stats.Computed = int(computed.Load())
 	rep.Stats.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	if cerr := ctx.Err(); cerr != nil {
+	cerr := ctx.Err()
+	switch {
+	case cerr != nil:
 		rep.Partial = true
 		filled := 0
 		for _, o := range rep.Outcomes {
@@ -338,21 +336,15 @@ dispatch:
 			}
 		}
 		rep.Stats.CacheHits = filled - rep.Stats.Computed
-		opts.Tracer.Emit("sweep_done", append([]any{"backend", backend, "scenarios", rep.Stats.Scenarios,
-			"computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
-			"trials", rep.Stats.TrialsRun, "wall_ms", rep.Stats.WallMS, "partial", true},
-			traceAttrs...)...)
-		return rep, cerr
-	}
-	if firstErr != nil {
+	case firstErr != nil:
+		span.End("error", firstErr.Error())
 		return nil, firstErr
+	default:
+		rep.Stats.CacheHits = len(specs) - rep.Stats.Computed
 	}
-	rep.Stats.CacheHits = len(specs) - rep.Stats.Computed
-	opts.Tracer.Emit("sweep_done", append([]any{"backend", backend, "scenarios", rep.Stats.Scenarios,
-		"computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
-		"trials", rep.Stats.TrialsRun, "wall_ms", rep.Stats.WallMS, "partial", false},
-		traceAttrs...)...)
-	return rep, nil
+	span.End("computed", rep.Stats.Computed, "cache_hits", rep.Stats.CacheHits,
+		"trials", rep.Stats.TrialsRun, "wall_ms", rep.Stats.WallMS, "partial", rep.Partial)
+	return rep, cerr
 }
 
 // CacheKey returns the result-cache key of a scenario hash under a

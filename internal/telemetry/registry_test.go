@@ -177,7 +177,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry wrote exposition")
 	}
 	var tr *Tracer
-	tr.Emit("noop", "k", 1) // must not panic
+	tr.emit("noop", "k", 1) // must not panic
 }
 
 func TestCounterIgnoresNegative(t *testing.T) {
@@ -192,8 +192,8 @@ func TestCounterIgnoresNegative(t *testing.T) {
 func TestTracerEmitsNDJSON(t *testing.T) {
 	var b strings.Builder
 	tr := NewTracer(&b)
-	tr.Emit("sweep_start", "backend", "montecarlo", "scenarios", 24)
-	tr.Emit("sweep_done", "odd_trailing_key")
+	tr.emit("sweep_start", "backend", "montecarlo", "scenarios", 24)
+	tr.emit("sweep_done", "odd_trailing_key")
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2: %q", len(lines), b.String())

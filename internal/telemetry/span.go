@@ -2,10 +2,11 @@ package telemetry
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"maps"
+	"math/rand/v2"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -43,15 +44,15 @@ func ParseTraceHeader(v string) (SpanContext, bool) {
 	return sc, true
 }
 
-// newID returns a 16-hex-char random identifier (8 random bytes).
+// newID returns a 16-hex-char random identifier (64 random bits). IDs
+// must be unique, not secret, so the runtime's generator serves: it
+// needs no system call, and a sink-less span pays one allocation per ID.
 func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back
-		// to a monotonic-ish stamp rather than panicking in telemetry.
-		return fmt.Sprintf("%016x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], rand.Uint64())
+	var dst [16]byte
+	hex.Encode(dst[:], raw[:])
+	return string(dst[:])
 }
 
 // Span is one timed operation in a trace. Start one with StartSpan and
@@ -74,10 +75,11 @@ type Span struct {
 
 // StartSpan opens a span named name under parent (a zero parent mints a
 // fresh trace and roots the span). service labels the process role
-// ("jobs", "coordinator", "worker"). attrs are alternating key, value
-// pairs recorded on the span and emitted with the span_start event. tr
-// and rec may each be nil: the span still carries a usable Context, so
-// propagation works even when nothing records it. A non-nil rec lists
+// ("jobs", "coordinator", "worker", "local"). attrs are alternating key,
+// value pairs recorded on the span and emitted with the span_start
+// event. tr and rec may each be nil: the span still carries a usable
+// Context, so propagation works even when nothing records it, and with
+// both nil it builds no attribute map and no event. A non-nil rec lists
 // the span among its open spans until End.
 func StartSpan(tr *Tracer, rec *FlightRecorder, parent SpanContext, service, name string, attrs ...any) *Span {
 	s := &Span{
@@ -93,22 +95,32 @@ func StartSpan(tr *Tracer, rec *FlightRecorder, parent SpanContext, service, nam
 	} else {
 		s.sc.TraceID = newID()
 	}
-	if len(attrs) > 1 {
+	if rec != nil && len(attrs) > 1 {
 		s.attrs = make(map[string]string, len(attrs)/2)
 		for i := 0; i+1 < len(attrs); i += 2 {
 			s.attrs[fmt.Sprint(attrs[i])] = fmt.Sprint(attrs[i+1])
 		}
 	}
-	ev := make([]any, 0, 8+len(attrs))
+	if tr != nil {
+		tr.emit("span_start", s.event(attrs, nil)...)
+	}
+	rec.begin(s)
+	return s
+}
+
+// event assembles a span line's attributes: the span's identity, its
+// duration when dur is non-nil (span_end), then attrs.
+func (s *Span) event(attrs []any, dur any) []any {
+	ev := make([]any, 0, 10+len(attrs))
 	ev = append(ev, "trace_id", s.sc.TraceID, "span_id", s.sc.SpanID,
-		"span", name, "service", service)
+		"span", s.name, "service", s.service)
+	if dur != nil {
+		ev = append(ev, "duration_ms", dur)
+	}
 	if s.parent != "" {
 		ev = append(ev, "parent_span_id", s.parent)
 	}
-	ev = append(ev, attrs...)
-	tr.Emit("span_start", ev...)
-	rec.begin(s)
-	return s
+	return append(ev, attrs...)
 }
 
 // Context returns the span's context — what callers propagate to
@@ -130,16 +142,13 @@ func (s *Span) End(attrs ...any) {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
-	d := time.Since(s.start)
-	dur := float64(d.Microseconds()) / 1000
-	ev := make([]any, 0, 10+len(attrs))
-	ev = append(ev, "trace_id", s.sc.TraceID, "span_id", s.sc.SpanID,
-		"span", s.name, "service", s.service, "duration_ms", dur)
-	if s.parent != "" {
-		ev = append(ev, "parent_span_id", s.parent)
+	if s.tracer == nil && s.recorder == nil {
+		return
 	}
-	ev = append(ev, attrs...)
-	s.tracer.Emit("span_end", ev...)
+	d := time.Since(s.start)
+	if s.tracer != nil {
+		s.tracer.emit("span_end", s.event(attrs, float64(d.Microseconds())/1000)...)
+	}
 	if s.recorder == nil {
 		return
 	}

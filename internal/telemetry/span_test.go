@@ -105,6 +105,19 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 	}
 }
 
+func TestSinklessSpanBuildsNoPayload(t *testing.T) {
+	// With neither a tracer nor a recorder, a start plus end allocates
+	// the span and its two IDs: no attribute map, no event slice.
+	allocs := testing.AllocsPerRun(200, func() {
+		s := StartSpan(nil, nil, SpanContext{}, "local", "scenario",
+			"hash", "h", "name", "n", "scenarios", 16, "cache_hit", true, "share", 0.25)
+		s.End("trials", 60, "positions", 1)
+	})
+	if allocs > 3 {
+		t.Errorf("sink-less start+end made %.1f allocations, want at most 3", allocs)
+	}
+}
+
 func TestTraceHeaderRoundTrip(t *testing.T) {
 	sc := SpanContext{TraceID: "aaaa0000bbbb1111", SpanID: "cccc2222dddd3333"}
 	got, ok := ParseTraceHeader(sc.HeaderValue())
@@ -200,8 +213,8 @@ func (f *failWriter) Write(p []byte) (int, error) {
 func TestTracerCountsDroppedEvents(t *testing.T) {
 	m := NewRegistry()
 	tr := NewTracerWithMetrics(&failWriter{}, m)
-	tr.Emit("sweep_start")
-	tr.Emit("sweep_done")
+	tr.emit("sweep_start")
+	tr.emit("sweep_done")
 	if got := tr.dropped.Value(); got != 2 {
 		t.Errorf("Dropped %d, want 2", got)
 	}
@@ -212,14 +225,14 @@ func TestTracerCountsDroppedEvents(t *testing.T) {
 	}
 
 	short := NewTracer(&failWriter{short: true})
-	short.Emit("x")
+	short.emit("x")
 	if got := short.dropped.Value(); got != 1 {
 		t.Errorf("short write Dropped %d, want 1", got)
 	}
 
 	var ok bytes.Buffer
 	good := NewTracer(&ok)
-	good.Emit("x")
+	good.emit("x")
 	if got := good.dropped.Value(); got != 0 {
 		t.Errorf("healthy tracer Dropped %d, want 0", got)
 	}

@@ -8,14 +8,11 @@ import (
 	"time"
 )
 
-// Tracer writes a structured trace-event stream as NDJSON: one JSON
-// object per line with a `ts` (RFC 3339, nanoseconds, UTC), an `event`
-// name, and the event's attributes as further keys. The sweep engine and
-// the cluster emit the per-sweep span sequence through it:
-//
-//	sweep_start → sweep_eval* → sweep_done                        (local)
-//	cluster_start → span_start/span_end (dispatch, ...)/
-//	  lease_expiry/worker_quarantine* → cluster_done             (distributed)
+// Tracer writes a trace as NDJSON: one JSON object per line with a `ts`
+// (RFC 3339, nanoseconds, UTC), an `event` name, and the event's
+// attributes as further keys. Spans are the only thing it carries:
+// StartSpan writes a span_start line and Span.End the matching span_end,
+// so every line is one or the other (see the span table in the README).
 //
 // Writes are serialised by a mutex, so events from concurrent workers
 // interleave whole lines, never bytes. A nil *Tracer is a no-op, which
@@ -32,9 +29,10 @@ type Tracer struct {
 	dropped *Counter // fairness_trace_dropped_total
 }
 
-// NewTracer returns a tracer writing NDJSON events to w. The caller owns
-// w's lifetime (the tracer never closes it). Dropped events are counted
-// on a detached handle; use NewTracerWithMetrics to expose the count.
+// NewTracer returns a tracer writing NDJSON span events to w. The caller
+// owns w's lifetime (the tracer never closes it). Dropped events are
+// counted on a detached handle; use NewTracerWithMetrics to expose the
+// count.
 func NewTracer(w io.Writer) *Tracer { return NewTracerWithMetrics(w, nil) }
 
 // NewTracerWithMetrics is NewTracer with the tracer's drop counter
@@ -44,10 +42,10 @@ func NewTracerWithMetrics(w io.Writer, m *Registry) *Tracer {
 	return &Tracer{w: w, dropped: m.Counter("fairness_trace_dropped_total")}
 }
 
-// Emit writes one event line. attrs are alternating key, value pairs;
+// emit writes one event line. attrs are alternating key, value pairs;
 // values marshal as JSON (fmt.Sprint fallback for unmarshalable ones). A
-// trailing odd key is ignored. Emit on a nil tracer does nothing.
-func (t *Tracer) Emit(event string, attrs ...any) {
+// trailing odd key is ignored. emit on a nil tracer does nothing.
+func (t *Tracer) emit(event string, attrs ...any) {
 	if t == nil {
 		return
 	}

@@ -10,12 +10,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	fairness "repro"
+	"repro/internal/cluster"
+	"repro/internal/sweep"
 )
 
 // telemetryTestSpecs is a small grid with a deliberate duplicate, so
@@ -122,10 +128,10 @@ func TestMetricsExpositionReconcilesWithReport(t *testing.T) {
 	}
 }
 
-// TestTraceStreamCoversSweepSpan asserts the NDJSON trace stream brackets
-// each sweep with sweep_start/sweep_done and carries one sweep_eval per
-// unique scenario — on this cold cache that equals Stats.Computed —
-// every line being valid JSON with a timestamp.
+// TestTraceStreamCoversSweepSpan asserts the NDJSON trace stream holds
+// exactly one sweep span and one scenario span per unique scenario — on
+// this cold cache that equals Stats.Computed — every line being valid
+// JSON with a timestamp.
 func TestTraceStreamCoversSweepSpan(t *testing.T) {
 	specs := telemetryTestSpecs(t)
 	var traceBuf bytes.Buffer
@@ -138,12 +144,13 @@ func TestTraceStreamCoversSweepSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := map[string]int{}
+	starts, ends := map[string]int{}, map[string]int{}
 	sc := bufio.NewScanner(&traceBuf)
 	for sc.Scan() {
 		var ev struct {
 			TS    string `json:"ts"`
 			Event string `json:"event"`
+			Span  string `json:"span"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("trace line %q: %v", sc.Text(), err)
@@ -151,17 +158,200 @@ func TestTraceStreamCoversSweepSpan(t *testing.T) {
 		if ev.TS == "" || ev.Event == "" {
 			t.Fatalf("trace line %q missing ts/event", sc.Text())
 		}
-		events[ev.Event]++
+		switch ev.Event {
+		case "span_start":
+			starts[ev.Span]++
+		case "span_end":
+			ends[ev.Span]++
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if events["sweep_start"] != 1 || events["sweep_done"] != 1 {
-		t.Errorf("events %v: want exactly one sweep_start and one sweep_done", events)
+	if starts["sweep"] != 1 || ends["sweep"] != 1 {
+		t.Errorf("spans started %v, ended %v: want exactly one sweep span", starts, ends)
 	}
-	if got, want := events["sweep_eval"], rep.Stats.Computed; got != want {
-		t.Errorf("%d sweep_eval events, want %d (one per computed scenario)", got, want)
+	if want := rep.Stats.Computed; starts["scenario"] != want || ends["scenario"] != want {
+		t.Errorf("%d scenario spans started, %d ended, want %d (one per computed scenario)",
+			starts["scenario"], ends["scenario"], want)
 	}
+}
+
+// lockedBuffer is a trace sink safe to write from many goroutines and
+// read while they write.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// spanPairing checks that every line of an NDJSON trace is a span_start
+// or a span_end and that each span_start has exactly one span_end with
+// the same span_id. It returns the first violation ("" when there is
+// none) and the names of the spans seen.
+func spanPairing(raw string) (string, map[string]bool) {
+	starts, ends := map[string]int{}, map[string]int{}
+	names := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(raw), "\n") {
+		var ev struct {
+			Event  string `json:"event"`
+			SpanID string `json:"span_id"`
+			Span   string `json:"span"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			return fmt.Sprintf("undecodable line %q: %v", line, err), names
+		}
+		switch ev.Event {
+		case "span_start":
+			starts[ev.SpanID]++
+		case "span_end":
+			ends[ev.SpanID]++
+		default:
+			return fmt.Sprintf("line %q is neither a span_start nor a span_end", line), names
+		}
+		names[ev.Span] = true
+	}
+	for id, n := range starts {
+		if n != 1 || ends[id] != 1 {
+			return fmt.Sprintf("span %s: %d span_start, %d span_end lines", id, n, ends[id]), names
+		}
+	}
+	for id, n := range ends {
+		if starts[id] == 0 {
+			return fmt.Sprintf("span %s: %d span_end lines and no span_start", id, n), names
+		}
+	}
+	return "", names
+}
+
+// TestTraceStreamsHoldOnlyPairedSpans checks two traces, a local
+// Engine.Sweep and a job over a two-worker cluster: each holds only
+// span lines, and every span that starts ends exactly once.
+func TestTraceStreamsHoldOnlyPairedSpans(t *testing.T) {
+	specs := telemetryTestSpecs(t)
+
+	var local bytes.Buffer
+	eng := fairness.NewEngine(fairness.WithTelemetry(nil, fairness.NewTracer(&local)))
+	if _, err := eng.Sweep(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	bad, names := spanPairing(local.String())
+	if bad != "" {
+		t.Errorf("local sweep trace: %s", bad)
+	}
+	if !names["sweep"] || !names["scenario"] {
+		t.Errorf("local sweep trace has spans %v, want sweep and scenario", names)
+	}
+
+	// The job's coordinator, job service and both workers share one
+	// tracer, so the stream holds the job's whole tree.
+	var job lockedBuffer
+	tracer := fairness.NewTracer(&job)
+	var workers []string
+	for range 2 {
+		ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{Tracer: tracer}))
+		ws.SetTelemetry("montecarlo", tracer, nil)
+		mux := http.NewServeMux()
+		ws.Register(mux)
+		mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(map[string]string{"status": "ok", "backend": "montecarlo"})
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		workers = append(workers, srv.URL)
+	}
+	mgr, err := fairness.NewJobManager(fairness.JobConfig{
+		Runner:   fairness.JobClusterRunner(fairness.ClusterOptions{Workers: workers, ShardSize: 2, Tracer: tracer}),
+		Capacity: func() int { return len(workers) },
+		Tracer:   tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	info, err := mgr.Submit(fairness.JobSubmitRequest{Tenant: "acme", Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A worker ends its spans as its shard handler returns, which can be
+	// just after the coordinator has merged the shard: allow a moment
+	// for the stream to settle.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		info, err = mgr.Get(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State.Terminal() {
+			if bad, _ = spanPairing(job.String()); bad == "" || time.Now().After(deadline) {
+				break
+			}
+		} else if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 10s", info.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if info.State != fairness.JobStateDone {
+		t.Fatalf("job ended %s: %s", info.State, info.Error)
+	}
+	bad, names = spanPairing(job.String())
+	if bad != "" {
+		t.Errorf("cluster job trace: %s", bad)
+	}
+	for _, name := range []string{"job", "queued", "gate_wait", "sweep", "dispatch", "eval", "scenario", "merge"} {
+		if !names[name] {
+			t.Errorf("cluster job trace has spans %v, want %s among them", names, name)
+		}
+	}
+}
+
+// TestFailedSweepEndsItsSpanWithTheError checks that a sweep whose
+// evaluator fails still ends its sweep span, with an error attribute.
+func TestFailedSweepEndsItsSpanWithTheError(t *testing.T) {
+	var buf bytes.Buffer
+	eng := fairness.NewEngine(
+		fairness.WithBackend(failingBackend{}),
+		fairness.WithTelemetry(nil, fairness.NewTracer(&buf)),
+	)
+	if _, err := eng.Sweep(context.Background(), telemetryTestSpecs(t)); err == nil {
+		t.Fatal("sweep over a failing evaluator succeeded")
+	}
+	var sweepEnds []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("undecodable line %q: %v", line, err)
+		}
+		if ev["event"] == "span_end" && ev["span"] == "sweep" {
+			sweepEnds = append(sweepEnds, ev)
+		}
+	}
+	if len(sweepEnds) != 1 {
+		t.Fatalf("%d sweep span_end lines, want 1:\n%s", len(sweepEnds), buf.String())
+	}
+	if msg, _ := sweepEnds[0]["error"].(string); !strings.Contains(msg, "evaluator down") {
+		t.Errorf("sweep span ended with error %q, want the evaluator's failure", msg)
+	}
+}
+
+// failingBackend is an evaluator whose every evaluation fails.
+type failingBackend struct{}
+
+func (failingBackend) Name() string { return "failing" }
+
+func (failingBackend) Evaluate(context.Context, fairness.Scenario) (fairness.Evaluation, error) {
+	return fairness.Evaluation{}, errors.New("evaluator down")
 }
 
 // TestEngineDefaultMetricsRegistry asserts every engine meters itself
