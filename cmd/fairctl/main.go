@@ -256,7 +256,12 @@ func runCmd(args []string) error {
 	// One registry for the whole run: the engine's sweep/cluster counters
 	// land here and the coordinator's /metrics endpoint serves it.
 	metrics := fairness.NewMetricsRegistry()
-	var tracer *fairness.Tracer
+	// The run's tracer: coordinator-side spans (sweep, pool_wait,
+	// dispatch, merge), served at GET /v1/traces on the -listen mux so
+	// `fairctl trace` can assemble the full tree against the workers' and
+	// `fairctl watch` can list the shards in flight; -trace also writes
+	// them as NDJSON.
+	tracer := fairness.NewTracer(nil)
 	if *traceFile != "" {
 		w, closeTrace, err := traceWriter(*traceFile)
 		if err != nil {
@@ -265,12 +270,7 @@ func runCmd(args []string) error {
 		defer closeTrace()
 		tracer = fairness.NewTracerWithMetrics(w, metrics)
 	}
-	// The run's flight recorder: coordinator-side spans (sweep, gate_wait,
-	// dispatch, merge), served at GET /v1/traces on the -listen mux so
-	// `fairctl trace` can assemble the full tree against the workers' and
-	// `fairctl watch` can list the shards in flight.
-	recorder := fairness.NewFlightRecorder(0)
-	engOpts = append(engOpts, fairness.WithTelemetry(metrics, tracer, recorder))
+	engOpts = append(engOpts, fairness.WithTelemetry(metrics, tracer))
 
 	// -listen: boot the registration listener so workers can join (and
 	// leave) on their own; its /metrics and /v1/traces feed `watch`.
@@ -280,7 +280,7 @@ func runCmd(args []string) error {
 		mux := http.NewServeMux()
 		regSrv.Register(mux)
 		mux.Handle("GET /metrics", fairness.MetricsHandler(metrics))
-		mux.Handle("GET /v1/traces", fairness.TracesHandler(recorder))
+		mux.Handle("GET /v1/traces", fairness.TracesHandler(tracer))
 		if *pprofFlag {
 			telemetry.RegisterPprof(mux)
 		}
@@ -322,7 +322,7 @@ func runCmd(args []string) error {
 
 	stopProgress := func() {}
 	if *progress {
-		stopProgress = progressPrinter(stderr, metrics, recorder)
+		stopProgress = progressPrinter(stderr, metrics, tracer)
 	}
 	rep, err := eng.Sweep(ctx, specs)
 	stopProgress()
@@ -377,11 +377,12 @@ func traceWriter(path string) (io.Writer, func(), error) {
 }
 
 // progressPrinter prints a progress line to w every 500ms from the
-// run's own registry and recorder — the -progress stderr ticker. The
+// run's own registry and tracer — the -progress stderr ticker. The
 // returned stop ends the ticker and prints the final line.
-func progressPrinter(w io.Writer, metrics *fairness.MetricsRegistry, rec *fairness.FlightRecorder) (stop func()) {
+func progressPrinter(w io.Writer, metrics *fairness.MetricsRegistry, tr *fairness.Tracer) (stop func()) {
 	line := func() {
-		v := newClusterView(metrics.Snapshot(), rec.Open(""), rec.Spans(""))
+		snap := tr.Snapshot("")
+		v := newClusterView(metrics.Snapshot(), snap.Open, snap.Spans)
 		fmt.Fprintf(w, "progress: %s\n", v)
 	}
 	tick := time.NewTicker(500 * time.Millisecond)
@@ -703,12 +704,11 @@ func topCmd(args []string) error {
 	}
 }
 
-// traceCmd fetches one distributed trace from any number of flight
-// recorders (the job server, the coordinator's -listen mux, worker
-// /v1/traces endpoints), assembles the span tree, and prints it with a
-// per-stage breakdown and the critical path. The argument is a job id
-// (j-...; resolved to its trace via GET /v1/jobs/{id}) or a raw
-// trace id.
+// traceCmd fetches one distributed trace from any number of /v1/traces
+// sources (the job server, the coordinator's -listen mux, workers),
+// assembles the span tree, and prints it with a per-stage breakdown and
+// the critical path. The argument is a job id (j-...; resolved to its
+// trace via GET /v1/jobs/{id}) or a raw trace id.
 func traceCmd(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	server := fs.String("server", "", "fairnessd base URL — resolves job ids and serves as a trace source")
@@ -748,7 +748,7 @@ func traceCmd(args []string) error {
 	}
 
 	// Overlapping sources are fine: BuildSpanTree deduplicates by
-	// span_id, so fetching the same recorder through two URLs is
+	// span_id, so fetching the same tracer through two URLs is
 	// harmless.
 	var spans []fairness.SpanRecord
 	fetched := 0
@@ -765,7 +765,7 @@ func traceCmd(args []string) error {
 		return fmt.Errorf("no reachable trace source")
 	}
 	if len(spans) == 0 {
-		return fmt.Errorf("no spans for trace %s (flight recorders hold only recent history)", traceID)
+		return fmt.Errorf("no spans for trace %s (tracers keep only recent history)", traceID)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
@@ -1054,7 +1054,7 @@ commands:
                                          endpoint, with counter rates
   trace [-server URL] [-sources CSV] [-json] JOB_ID|TRACE_ID
                                          assemble one distributed trace from
-                                         /v1/traces flight recorders: span tree,
+                                         /v1/traces sources: span tree,
                                          per-stage breakdown, critical path
 
 job-service commands (against fairnessd -jobs):

@@ -34,12 +34,12 @@ func startWorker(t *testing.T) *httptest.Server {
 // counters and /v1/traces spans a fairnessd worker serves.
 func startRunWorker(t *testing.T, run cluster.RunFunc) *httptest.Server {
 	t.Helper()
-	rec := fairness.NewFlightRecorder(0)
+	tr := fairness.NewTracer(nil)
 	ws := cluster.NewWorkerServer(run)
-	ws.SetTelemetry("montecarlo", nil, rec)
+	ws.SetTelemetry("montecarlo", tr)
 	mux := http.NewServeMux()
 	ws.Register(mux)
-	mux.Handle("GET /v1/traces", fairness.TracesHandler(rec))
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(tr))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{
 			"status": "ok", "backend": "montecarlo", "cache": "none",
@@ -302,10 +302,10 @@ func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {
 	w1, w2 := startRunWorker(t, held), startRunWorker(t, held)
 
 	metrics := fairness.NewMetricsRegistry()
-	rec := fairness.NewFlightRecorder(0)
+	tr := fairness.NewTracer(nil)
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", fairness.MetricsHandler(metrics))
-	mux.Handle("GET /v1/traces", fairness.TracesHandler(rec))
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(tr))
 	coord := httptest.NewServer(mux)
 	t.Cleanup(coord.Close)
 	specs, err := loadSpecs(writeGrid(t), 7)
@@ -314,7 +314,7 @@ func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {
 	}
 	eng := fairness.NewEngine(
 		fairness.WithCluster(fairness.ClusterOptions{Workers: []string{w1.URL, w2.URL}, ShardSize: 2}),
-		fairness.WithTelemetry(metrics, nil, rec))
+		fairness.WithTelemetry(metrics, tr))
 	runErr := make(chan error, 1)
 	go func() {
 		_, err := eng.Sweep(context.Background(), specs)
@@ -341,7 +341,7 @@ func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {
 	}
 	want := []string{"running · 2/4 delivered", "shards 2 claimed", "2 workers",
 		"worker " + w1.URL + ": 1 in-flight", "worker " + w2.URL + ": 1 in-flight", "2 scenarios, streaming"}
-	for _, s := range rec.Open("") {
+	for _, s := range tr.Snapshot("").Open {
 		if s.Name == "dispatch" {
 			want = append(want, fmt.Sprintf("%.12s", s.Attrs["shard"]))
 		}
@@ -360,11 +360,11 @@ func TestWatchExitsWhenCoordinatorReportsDone(t *testing.T) {
 	// A coordinator whose sweep span has ended: the run is over.
 	metrics := fairness.NewMetricsRegistry()
 	metrics.Counter("fairness_cluster_delivered_total").Add(4)
-	rec := fairness.NewFlightRecorder(0)
-	fairness.StartSpan(nil, rec, fairness.SpanContext{}, "coordinator", "sweep", "unique", 4).End()
+	tr := fairness.NewTracer(nil)
+	fairness.StartSpan(tr, fairness.SpanContext{}, "coordinator", "sweep", "unique", 4).End()
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", fairness.MetricsHandler(metrics))
-	mux.Handle("GET /v1/traces", fairness.TracesHandler(rec))
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(tr))
 	coord := httptest.NewServer(mux)
 	t.Cleanup(coord.Close)
 

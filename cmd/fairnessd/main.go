@@ -23,9 +23,10 @@
 //	                   scenarios/sec — everything a coordinator or load
 //	                   balancer needs for placement, and the worker line
 //	                   of `fairctl watch`.
-//	GET  /v1/traces    flight recorder: recently completed spans under
+//	GET  /v1/traces    the daemon's tracer: recently completed spans under
 //	                   "spans" and spans still in flight under "open"
-//	                   (eval/stream per shard, plus job/sweep spans when
+//	                   (eval/stream per shard, a local sweep span with
+//	                   its scenario spans per sweep, plus job spans when
 //	                   this daemon runs the job service), filterable with
 //	                   ?trace_id= — what `fairctl trace` and `fairctl
 //	                   watch` read.
@@ -86,9 +87,10 @@
 //	-jobs-shard-size N  pin cluster-mode job shards to N scenarios (0 = adaptive)
 //	-jobs-weights CSV   per-tenant fair-share weights, "alice=3,bob=1"
 //	                    (unlisted tenants weigh 1)
-//	-trace FILE         write NDJSON span events — sweep spans, and with
-//	                    -jobs each job's job, queued and gate_wait spans
-//	                    — to FILE ("-" = stderr)
+//	-trace FILE         also write the spans /v1/traces serves — sweep and
+//	                    scenario spans, and with -jobs each job's job,
+//	                    queued and gate_wait spans — to FILE as NDJSON
+//	                    ("-" = stderr)
 //
 // Run several fairnessd instances with -register pointed at a `fairctl
 // run -listen` coordinator (plus one shared -cache-dir) and they form a
@@ -286,8 +288,8 @@ type config struct {
 	// metrics overrides the process-global registry (tests inject a
 	// fresh one so counters stay hermetic per server).
 	metrics *fairness.MetricsRegistry
-	// tracer, when non-nil, receives the daemon's NDJSON trace events
-	// (-trace; tests inject buffers).
+	// tracer, when non-nil, replaces the daemon's writer-less tracer
+	// (-trace writes NDJSON; tests inject buffers).
 	tracer *fairness.Tracer
 }
 
@@ -299,7 +301,7 @@ type server struct {
 	cache       fairness.CacheStore
 	shards      *cluster.WorkerServer
 	metrics     *fairness.MetricsRegistry
-	recorder    *fairness.FlightRecorder
+	tracer      *fairness.Tracer
 	backendName string
 	cacheDesc   string
 	start       time.Time
@@ -332,10 +334,13 @@ func newServer(cfg config) (*server, error) {
 		backendName: cfg.backend,
 		cacheDesc:   "none",
 		metrics:     m,
-		recorder:    fairness.NewFlightRecorder(0),
+		tracer:      cfg.tracer,
 		pprof:       cfg.pprof,
 		evaluates:   m.Counter("fairness_http_requests_total", "endpoint", "evaluate"),
 		sweeps:      m.Counter("fairness_http_requests_total", "endpoint", "sweep"),
+	}
+	if s.tracer == nil {
+		s.tracer = fairness.NewTracer(nil)
 	}
 	if s.backendName == "" {
 		s.backendName = "montecarlo"
@@ -374,7 +379,7 @@ func newServer(cfg config) (*server, error) {
 	}
 	opts := []fairness.EngineOption{
 		fairness.WithWorkers(cfg.workers),
-		fairness.WithTelemetry(m, cfg.tracer, s.recorder),
+		fairness.WithTelemetry(m, s.tracer),
 	}
 	if s.cache != nil {
 		opts = append(opts, fairness.WithCache(s.cache))
@@ -395,8 +400,8 @@ func newServer(cfg config) (*server, error) {
 	}, m)
 	// Worker-side spans: each claimed shard evaluates under an eval span
 	// parented (via X-Fairness-Trace) on the coordinator's dispatch span,
-	// retained here for GET /v1/traces.
-	s.shards.SetTelemetry(s.backendName, cfg.tracer, s.recorder)
+	// with the engine's sweep and scenario spans beneath it.
+	s.shards.SetTelemetry(s.backendName, s.tracer)
 	if cfg.jobs || cfg.jobsCluster {
 		if err := s.initJobs(cfg, m, ev); err != nil {
 			return nil, err
@@ -423,8 +428,7 @@ func (s *server) initJobs(cfg config, m *fairness.MetricsRegistry, ev fairness.E
 		Weights:              weights,
 		Cache:                s.cache,
 		Metrics:              m,
-		Tracer:               cfg.tracer,
-		Recorder:             s.recorder,
+		Tracer:               s.tracer,
 	}
 	if cfg.jobsCluster {
 		reg := fairness.NewClusterRegistry(s.backendName, 0)
@@ -434,8 +438,7 @@ func (s *server) initJobs(cfg config, m *fairness.MetricsRegistry, ev fairness.E
 			Backend:   s.backendName,
 			ShardSize: cfg.jobsShardSize,
 			Metrics:   m,
-			Tracer:    cfg.tracer,
-			Recorder:  s.recorder,
+			Tracer:    s.tracer,
 		})
 		// Twice the live pool keeps every worker busy while still forcing
 		// tenants to contest dispatch under saturation.
@@ -445,7 +448,7 @@ func (s *server) initJobs(cfg config, m *fairness.MetricsRegistry, ev fairness.E
 			Workers:   cfg.workers,
 			Evaluator: ev,
 			Metrics:   m,
-			Tracer:    cfg.tracer,
+			Tracer:    s.tracer,
 		}, 0)
 	}
 	mgr, err := fairness.NewJobManager(jcfg)
@@ -494,7 +497,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.Handle("GET /v1/traces", fairness.TracesHandler(s.recorder))
+	mux.Handle("GET /v1/traces", fairness.TracesHandler(s.tracer))
 	mux.Handle("GET /metrics", fairness.MetricsHandler(s.metrics))
 	if s.pprof {
 		telemetry.RegisterPprof(mux)

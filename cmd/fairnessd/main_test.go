@@ -841,6 +841,87 @@ func TestJobServiceLocalModeEndToEnd(t *testing.T) {
 	}
 }
 
+// completedSpans fetches the completed spans of one GET /v1/traces.
+func completedSpans(t *testing.T, url string) []fairness.SpanRecord {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Spans []fairness.SpanRecord `json:"spans"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Spans
+}
+
+func TestLocalSweepSpansReachTraces(t *testing.T) {
+	// The daemon's local sweeps, a POST /v1/sweep and a job on the local
+	// runner alike, hold their spans in the tracer /v1/traces serves.
+	srv, ts := testServer(t, config{jobs: true})
+	defer srv.close()
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(jobGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	var sweeps, scenarios []fairness.SpanRecord
+	for _, s := range completedSpans(t, ts.URL+"/v1/traces") {
+		switch {
+		case s.Service != "local":
+		case s.Name == "sweep":
+			sweeps = append(sweeps, s)
+		case s.Name == "scenario":
+			scenarios = append(scenarios, s)
+		}
+	}
+	if len(sweeps) != 1 || len(scenarios) != 4 {
+		t.Fatalf("/v1/traces after a 4-scenario sweep: %d local sweep and %d scenario spans, want 1 and 4",
+			len(sweeps), len(scenarios))
+	}
+	for _, s := range scenarios {
+		if s.ParentID != sweeps[0].SpanID {
+			t.Errorf("scenario span %s parented on %q, want the sweep span", s.SpanID, s.ParentID)
+		}
+	}
+
+	// A job, traced the way `fairctl trace j-...` does it: its trace id
+	// from the job, its spans from /v1/traces, then the tree, which must
+	// show sweep [local] under job and scenario [local] under that.
+	client := fairness.NewJobClient(ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	info, err := client.Submit(ctx, fairness.JobSubmitBody{Tenant: "acme", Seed: 5, Spec: json.RawMessage(jobGrid)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err = client.Wait(ctx, info.ID, 10*time.Millisecond); err != nil || info.State != fairness.JobStateDone {
+		t.Fatalf("job: %+v, %v", info, err)
+	}
+	tree := fairness.BuildSpanTree(completedSpans(t, ts.URL+"/v1/traces?trace_id="+info.TraceID))
+	if len(tree.Roots) != 1 || tree.Roots[0].Name != "job" {
+		t.Fatalf("job trace: %d roots, want one job span", len(tree.Roots))
+	}
+	jobScenarios := 0
+	for _, c := range tree.Roots[0].Children {
+		if c.Name != "sweep" || c.Service != "local" {
+			continue
+		}
+		for _, g := range c.Children {
+			if g.Name == "scenario" && g.Service == "local" {
+				jobScenarios++
+			}
+		}
+	}
+	if jobScenarios != 4 {
+		t.Errorf("job trace holds %d scenario [local] spans under sweep [local], want 4", jobScenarios)
+	}
+}
+
 func TestJobServiceClusterModeDispatchesOverRegisteredWorkers(t *testing.T) {
 	// Coordinator daemon: job service over self-registering workers.
 	coord, coordTS := testServer(t, config{jobsCluster: true})

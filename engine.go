@@ -39,7 +39,6 @@ type Engine struct {
 	cluster      *cluster.Options
 	metrics      *MetricsRegistry
 	tracer       *Tracer
-	recorder     *FlightRecorder
 }
 
 // EngineOption configures an Engine.
@@ -123,27 +122,21 @@ func WithCluster(opts ClusterOptions) EngineOption {
 // WithTelemetry plugs an observability sink into the engine: every run
 // ticks its sweep counters and per-backend latency histograms on m and
 // (in cluster mode) its shard-lifecycle counters too; tr, when non-nil,
-// receives the structured NDJSON trace-event stream. Either argument may
-// be nil. Pass DefaultMetrics() to aggregate with the process-global
-// simulation totals (Monte-Carlo trials, chainsim blocks/forks) on one
-// registry — what fairnessd and the fairctl coordinator expose at
-// /metrics.
-//
-// An optional third argument — a *FlightRecorder — holds the engine's
-// spans (cluster-mode sweep/gate_wait/dispatch/merge), open and
-// completed, for GET /v1/traces; serve it with TracesHandler. Omitted or
-// nil, spans still propagate (workers parent correctly) but are not
-// retained here.
+// holds the engine's spans, open and completed, for GET /v1/traces
+// (serve it with TracesHandler) and writes them as NDJSON when it has a
+// writer. A local run's spans are a sweep span with one scenario span per
+// unique scenario; a cluster run's are the coordinator's sweep,
+// pool_wait, dispatch and merge spans. Either argument may be nil: with
+// no tracer, spans still propagate (workers parent correctly) but
+// nothing keeps them. Pass DefaultMetrics() to aggregate with the
+// process-global simulation totals (Monte-Carlo trials, chainsim
+// blocks/forks) on one registry — what fairnessd and the fairctl
+// coordinator expose at /metrics.
 //
 // Without this option every engine still meters itself on a private
 // registry, readable through Engine.Metrics().
-func WithTelemetry(m *MetricsRegistry, tr *Tracer, rec ...*FlightRecorder) EngineOption {
-	return func(e *Engine) {
-		e.metrics, e.tracer = m, tr
-		if len(rec) > 0 {
-			e.recorder = rec[0]
-		}
-	}
+func WithTelemetry(m *MetricsRegistry, tr *Tracer) EngineOption {
+	return func(e *Engine) { e.metrics, e.tracer = m, tr }
 }
 
 // NewEngine builds an evaluation engine from functional options.
@@ -252,9 +245,6 @@ func (e *Engine) runSweep(ctx context.Context, specs []Scenario, onOutcome func(
 	}
 	if c.Tracer == nil {
 		c.Tracer = e.tracer
-	}
-	if c.Recorder == nil {
-		c.Recorder = e.recorder
 	}
 	c.Backend = e.backendName()
 	c.OnOutcome = opts.OnOutcome

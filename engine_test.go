@@ -277,21 +277,21 @@ func TestEngineStreamThroughCluster(t *testing.T) {
 }
 
 func TestEngineClusterProgressFromCountersAndOpenSpans(t *testing.T) {
-	// A cluster run's live progress is its registry and its recorder's
+	// A cluster run's live progress is its registry and its tracer's
 	// open spans: from inside the observer the outcome's shard is still
 	// an open dispatch span, and afterwards the counters account for
 	// every unique work item with claims and streams along the way.
 	w1, w2 := startClusterWorker(t), startClusterWorker(t)
 	specs := clusterTestSpecs(t)
 	metrics := NewMetricsRegistry()
-	rec := NewFlightRecorder(0)
+	tr := NewTracer(nil)
 	var mu sync.Mutex
 	openDispatch := 0
 	eng := NewEngine(
 		WithCluster(ClusterOptions{Workers: []string{w1.URL, w2.URL}}),
-		WithTelemetry(metrics, nil, rec),
+		WithTelemetry(metrics, tr),
 		WithObserver(func(SweepOutcome) {
-			for _, s := range rec.Open("") {
+			for _, s := range tr.Snapshot("").Open {
 				if s.Name == "dispatch" {
 					mu.Lock()
 					openDispatch++
@@ -320,7 +320,7 @@ func TestEngineClusterProgressFromCountersAndOpenSpans(t *testing.T) {
 	if snap["fairness_cluster_shards_claimed_total"] == 0 || snap["fairness_cluster_outcomes_streamed_total"] == 0 {
 		t.Errorf("counters never saw claims/streams: %v", snap)
 	}
-	if open := rec.Open(""); len(open) != 0 {
+	if open := tr.Snapshot("").Open; len(open) != 0 {
 		t.Errorf("spans still open after the run: %+v", open)
 	}
 }

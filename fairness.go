@@ -247,23 +247,22 @@ type (
 	MetricsCounter   = telemetry.Counter
 	MetricsGauge     = telemetry.Gauge
 	MetricsHistogram = telemetry.Histogram
-	// Tracer writes the engine's spans as NDJSON span_start/span_end
-	// events: a sweep span with one scenario span per unique scenario
-	// (cache state on its end), and in cluster mode the shard lifecycle
-	// as dispatch spans (claims, acks, requeues, quarantines).
+	// Tracer is the one span sink: it holds the spans in flight and a
+	// ring of the 4096 most recently completed ones, which TracesHandler
+	// serves, and writes each span as NDJSON span_start/span_end events
+	// when built with a writer. An engine's spans are a sweep span with
+	// one scenario span per unique scenario (cache state on its end),
+	// and in cluster mode the shard lifecycle as dispatch spans (claims,
+	// acks, requeues, quarantines).
 	Tracer = telemetry.Tracer
 	// SpanContext identifies one span in one distributed trace — the
 	// value the X-Fairness-Trace header carries across process hops.
 	SpanContext = telemetry.SpanContext
 	// Span is one timed operation in a trace; see StartSpan.
 	Span = telemetry.Span
-	// SpanRecord is one span as the flight recorder holds it and GET
-	// /v1/traces serves it.
+	// SpanRecord is one span as a Tracer holds it and GET /v1/traces
+	// serves it.
 	SpanRecord = telemetry.SpanRecord
-	// FlightRecorder holds the spans in flight and a bounded ring of
-	// recently completed ones behind GET /v1/traces; wire one into an
-	// Engine with WithTelemetry and serve it with TracesHandler.
-	FlightRecorder = telemetry.FlightRecorder
 	// SpanNode and SpanTree are the assembled causal view of one trace;
 	// see BuildSpanTree.
 	SpanNode = telemetry.SpanNode
@@ -425,9 +424,10 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 // their global trial/block/fork totals.
 func DefaultMetrics() *MetricsRegistry { return telemetry.Default() }
 
-// NewTracer returns a Tracer writing NDJSON span events to w — what
-// `fairsweep run -trace` and `fairctl run -trace` wire up. The caller
-// owns w's lifetime.
+// NewTracer returns a Tracer that holds spans for TracesHandler and,
+// when w is non-nil, also writes them to w as NDJSON span events — what
+// `fairsweep run -trace` and `fairctl run -trace` wire up. NewTracer(nil)
+// keeps the spans in memory alone. The caller owns w's lifetime.
 func NewTracer(w io.Writer) *Tracer { return telemetry.NewTracer(w) }
 
 // NewTracerWithMetrics is NewTracer with the tracer's drop counter
@@ -437,17 +437,11 @@ func NewTracerWithMetrics(w io.Writer, m *MetricsRegistry) *Tracer {
 	return telemetry.NewTracerWithMetrics(w, m)
 }
 
-// NewFlightRecorder returns a flight recorder retaining the most recent
-// capacity completed spans (<= 0 picks the default, 4096).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	return telemetry.NewFlightRecorder(capacity)
-}
-
 // StartSpan opens a span named name under parent (a zero parent mints a
-// fresh trace). tr and rec may each be nil; the span still carries a
-// propagatable Context.
-func StartSpan(tr *Tracer, rec *FlightRecorder, parent SpanContext, service, name string, attrs ...any) *Span {
-	return telemetry.StartSpan(tr, rec, parent, service, name, attrs...)
+// fresh trace). tr may be nil; the span still carries a propagatable
+// Context.
+func StartSpan(tr *Tracer, parent SpanContext, service, name string, attrs ...any) *Span {
+	return telemetry.StartSpan(tr, parent, service, name, attrs...)
 }
 
 // ContextWithSpan returns a context carrying sc as the active span —
@@ -459,13 +453,13 @@ func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
 // ParseTraceHeader decodes an X-Fairness-Trace header value.
 func ParseTraceHeader(v string) (SpanContext, bool) { return telemetry.ParseTraceHeader(v) }
 
-// TracesHandler serves a flight recorder at GET /v1/traces (all spans,
-// or one trace with ?trace_id=).
-func TracesHandler(rec *FlightRecorder) http.Handler { return telemetry.TracesHandler(rec) }
+// TracesHandler serves a tracer's open and completed spans at GET
+// /v1/traces (all spans, or one trace with ?trace_id=); a nil tracer
+// serves empty lists.
+func TracesHandler(tr *Tracer) http.Handler { return telemetry.TracesHandler(tr) }
 
 // BuildSpanTree assembles span records fetched from any number of
-// flight recorders into per-trace causal trees, deduplicating by
-// span_id.
+// tracers into per-trace causal trees, deduplicating by span_id.
 func BuildSpanTree(spans []SpanRecord) *SpanTree { return telemetry.BuildSpanTree(spans) }
 
 // MetricsHandler serves the given registries concatenated in Prometheus

@@ -139,21 +139,18 @@ type Options struct {
 	// cumulative across runs sharing the registry. Engine-driven runs
 	// inherit the engine's registry automatically.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives the run's coordinator spans as
-	// span_start/span_end NDJSON events: the sweep span and its pool_wait,
-	// dispatch and merge children (worker-side eval spans are parented
-	// under dispatch via the X-Fairness-Trace header). A dispatch span
-	// that cost its worker a quarantine ends with quarantine=<reason>.
+	// Tracer, when non-nil, receives the run's coordinator spans: the
+	// sweep span and its pool_wait, dispatch and merge children
+	// (worker-side eval spans are parented under dispatch via the
+	// X-Fairness-Trace header). A dispatch span that cost its worker a
+	// quarantine ends with quarantine=<reason>. The tracer holds the open
+	// spans and a ring of completed ones, which GET /v1/traces serves:
+	// `fairctl trace` assembles the completed ones into a span tree and
+	// `fairctl watch` renders the open ones. The run's trace roots under
+	// the span context carried by ctx (telemetry.ContextWithSpan), so an
+	// engine- or job-driven run joins its caller's trace; without one it
+	// mints a fresh trace_id.
 	Tracer *telemetry.Tracer
-	// Recorder, when non-nil, holds the run's coordinator spans: open
-	// ones while they are in flight, completed ones in a bounded
-	// in-memory ring. GET /v1/traces serves both; `fairctl trace`
-	// assembles the completed ones into a span tree and `fairctl watch`
-	// renders the open ones. The run's trace roots under the span context
-	// carried by ctx (telemetry.ContextWithSpan), so an engine- or
-	// job-driven run joins its caller's trace; without one it mints a
-	// fresh trace_id.
-	Recorder *telemetry.FlightRecorder
 	// Gate, when non-nil, is consulted before every shard is cut: the
 	// worker loop asks for `want` work items and receives permission for
 	// `granted` (possibly fewer), holding the grant until the shard
@@ -389,8 +386,8 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 	if v, ok := bag["job"]; ok {
 		spanAttrs = append(spanAttrs, "job", v)
 	}
-	runSpan := telemetry.StartSpan(opts.Tracer, opts.Recorder,
-		telemetry.SpanContextFrom(ctx), "coordinator", "sweep", spanAttrs...)
+	runSpan := telemetry.StartSpan(opts.Tracer, telemetry.SpanContextFrom(ctx),
+		"coordinator", "sweep", spanAttrs...)
 
 	var (
 		mu        sync.Mutex // serialises merging and OnOutcome
@@ -511,8 +508,8 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 	// the report's statistics. Per-outcome merging happened inline as the
 	// streams arrived (inside each dispatch span); this span covers the
 	// epilogue that seals the report.
-	mergeSpan := telemetry.StartSpan(opts.Tracer, opts.Recorder,
-		runSpan.Context(), "coordinator", "merge", "unique", len(uniq))
+	mergeSpan := telemetry.StartSpan(opts.Tracer, runSpan.Context(),
+		"coordinator", "merge", "unique", len(uniq))
 	mu.Lock()
 	rep.Stats.Computed = computed
 	rep.Stats.TrialsRun = trialsRun
@@ -721,7 +718,7 @@ func runScheduler(ctx context.Context, items []workItem, opts Options,
 		switch {
 		case stalled && poolWait == nil:
 			opts.Metrics.Gauge("fairness_cluster_waiting").Set(1)
-			poolWait = telemetry.StartSpan(opts.Tracer, opts.Recorder, run.span,
+			poolWait = telemetry.StartSpan(opts.Tracer, run.span,
 				"coordinator", "pool_wait", "reason", "no live workers", "queued", queued)
 		case !stalled:
 			endWait()
@@ -875,8 +872,7 @@ func (s *sched) workerLoop(url string) {
 		// Each claim attempt is its own dispatch span under the run span.
 		// A requeued shard's next attempt mints a fresh dispatch span on
 		// the same trace — retries keep the trace_id, never reuse spans.
-		dsp := telemetry.StartSpan(s.opts.Tracer, s.opts.Recorder,
-			s.run.span, "coordinator", "dispatch",
+		dsp := telemetry.StartSpan(s.opts.Tracer, s.run.span, "coordinator", "dispatch",
 			"shard", t.id, "worker", url, "scenarios", len(batch))
 		start := time.Now()
 		sum, deliveredOut, err := s.claimShard(url, t, dsp.Context())

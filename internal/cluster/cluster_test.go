@@ -198,8 +198,8 @@ func TestClusterReassignsShardsFromKilledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	healthyRec := telemetry.NewFlightRecorder(0)
-	healthy, _ := startTracedWorker(t, healthyRec)
+	healthyTr := telemetry.NewTracer(nil)
+	healthy, _ := startTracedWorker(t, healthyTr)
 	ws := NewWorkerServer(LocalRunner(sweep.Options{}))
 	mux := http.NewServeMux()
 	ws.Register(mux)
@@ -210,17 +210,17 @@ func TestClusterReassignsShardsFromKilledWorker(t *testing.T) {
 	flakySrv := httptest.NewServer(flaky)
 	t.Cleanup(flakySrv.Close)
 
-	coordRec := telemetry.NewFlightRecorder(0)
+	coordTr := telemetry.NewTracer(nil)
 	before := countGoroutines(0)
 	rep, err := Run(context.Background(), specs, Options{
 		Workers:     []string{flakySrv.URL, healthy.URL},
 		BackoffBase: time.Millisecond, // keep the retry path fast under test
-		Recorder:    coordRec,
+		Tracer:      coordTr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNoOpenSpans(t, 0, coordRec, healthyRec)
+	requireNoOpenSpans(t, 0, coordTr, healthyTr)
 	if flaky.hits.Load() == 0 {
 		t.Fatal("flaky worker was never claimed — the failure path did not run")
 	}
@@ -425,22 +425,22 @@ func TestClusterPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	w, _ := startWorker(t, sweep.Options{}, "montecarlo")
-	rec := telemetry.NewFlightRecorder(0)
-	rep, err := Run(ctx, testGrid(t), Options{Workers: []string{w.URL}, Recorder: rec})
+	tr := telemetry.NewTracer(nil)
+	rep, err := Run(ctx, testGrid(t), Options{Workers: []string{w.URL}, Tracer: tr})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if rep == nil || !rep.Partial {
 		t.Fatalf("cancelled cluster run must return a partial report, got %+v", rep)
 	}
-	requireNoOpenSpans(t, 0, rec)
+	requireNoOpenSpans(t, 0, tr)
 }
 
 func TestClusterCancelMidShardEndsEverySpan(t *testing.T) {
 	// The run is cancelled while its only worker is mid-shard: one
 	// outcome streamed, the rest stuck until the claim is cut. The
 	// partial report returns and neither side keeps an open span.
-	workerRec := telemetry.NewFlightRecorder(0)
+	workerTr := telemetry.NewTracer(nil)
 	ws := NewWorkerServer(func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
 		stats, err := LocalRunner(sweep.Options{})(ctx, specs[:1], on)
 		if err == nil {
@@ -449,7 +449,7 @@ func TestClusterCancelMidShardEndsEverySpan(t *testing.T) {
 		}
 		return stats, err
 	})
-	ws.SetTelemetry("montecarlo", nil, workerRec)
+	ws.SetTelemetry("montecarlo", workerTr)
 	mux := http.NewServeMux()
 	ws.Register(mux)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -458,21 +458,21 @@ func TestClusterCancelMidShardEndsEverySpan(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	coordRec := telemetry.NewFlightRecorder(0)
+	coordTr := telemetry.NewTracer(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rep, err := Run(ctx, testGrid(t), Options{
 		Workers:   []string{srv.URL},
 		ShardSize: 64,
-		Recorder:  coordRec,
+		Tracer:    coordTr,
 		OnOutcome: func(sweep.Outcome) { cancel() },
 	})
 	if !errors.Is(err, context.Canceled) || rep == nil || !rep.Partial {
 		t.Fatalf("mid-shard cancel: err = %v, report %+v", err, rep)
 	}
-	requireNoOpenSpans(t, 0, coordRec)
-	requireNoOpenSpans(t, 5*time.Second, workerRec)
-	if evals := spansByName(workerRec.Spans(""), "eval"); len(evals) != 1 || evals[0].Attrs["status"] != "torn" {
+	requireNoOpenSpans(t, 0, coordTr)
+	requireNoOpenSpans(t, 5*time.Second, workerTr)
+	if evals := spansByName(workerTr.Snapshot("").Spans, "eval"); len(evals) != 1 || evals[0].Attrs["status"] != "torn" {
 		t.Errorf("worker eval spans after the cut: %+v", evals)
 	}
 }
@@ -516,12 +516,12 @@ func TestClusterDispatchGatePacesShardsWithoutChangingReport(t *testing.T) {
 	w1, _ := startWorker(t, sweep.Options{}, "montecarlo")
 	w2, _ := startWorker(t, sweep.Options{}, "montecarlo")
 	gate := &countingGate{sem: make(chan struct{}, 1), capPerGrant: 2}
-	rec := telemetry.NewFlightRecorder(0)
+	tr := telemetry.NewTracer(nil)
 	rep, err := Run(context.Background(), specs, Options{
 		Workers:   []string{w1.URL, w2.URL},
 		Gate:      gate,
 		ShardSize: 4, // every claim asks for more than one grant allows
-		Recorder:  rec,
+		Tracer:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +541,7 @@ func TestClusterDispatchGatePacesShardsWithoutChangingReport(t *testing.T) {
 	if gate.acquires.Load() < 3 {
 		t.Errorf("gate cap ignored: only %d acquires", gate.acquires.Load())
 	}
-	for _, d := range spansByName(rec.Spans(""), "dispatch") {
+	for _, d := range spansByName(tr.Snapshot("").Spans, "dispatch") {
 		if n, _ := strconv.Atoi(d.Attrs["scenarios"]); n > gate.capPerGrant {
 			t.Errorf("shard of %d scenarios dispatched under a grant of %d", n, gate.capPerGrant)
 		}

@@ -15,14 +15,14 @@ import (
 )
 
 // startTracedWorker boots an in-process worker with span instrumentation
-// wired: eval/stream spans land in rec, and /v1/traces serves them.
-func startTracedWorker(t *testing.T, rec *telemetry.FlightRecorder) (*httptest.Server, *WorkerServer) {
+// wired: eval/stream spans land in tr, and /v1/traces serves them.
+func startTracedWorker(t *testing.T, tr *telemetry.Tracer) (*httptest.Server, *WorkerServer) {
 	t.Helper()
 	ws := NewWorkerServer(LocalRunner(sweep.Options{}))
-	ws.SetTelemetry("montecarlo", nil, rec)
+	ws.SetTelemetry("montecarlo", tr)
 	mux := http.NewServeMux()
 	ws.Register(mux)
-	mux.Handle("GET /v1/traces", telemetry.TracesHandler(rec))
+	mux.Handle("GET /v1/traces", telemetry.TracesHandler(tr))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ok", "backend": "montecarlo"})
 	})
@@ -31,19 +31,19 @@ func startTracedWorker(t *testing.T, rec *telemetry.FlightRecorder) (*httptest.S
 	return srv, ws
 }
 
-// requireNoOpenSpans fails if a recorder still holds an open span once
-// its run is over: every span must end on every path. A worker notices a
-// cut claim only when its connection drops, so recorders get up to grace
-// to drain.
-func requireNoOpenSpans(t *testing.T, grace time.Duration, recs ...*telemetry.FlightRecorder) {
+// requireNoOpenSpans fails if a tracer still holds an open span once its
+// run is over: every span must end on every path. A worker notices a cut
+// claim only when its connection drops, so tracers get up to grace to
+// drain.
+func requireNoOpenSpans(t *testing.T, grace time.Duration, tracers ...*telemetry.Tracer) {
 	t.Helper()
 	deadline := time.Now().Add(grace)
-	for i, rec := range recs {
-		for len(rec.Open("")) > 0 && time.Now().Before(deadline) {
+	for i, tr := range tracers {
+		for len(tr.Snapshot("").Open) > 0 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if open := rec.Open(""); len(open) > 0 {
-			t.Errorf("recorder %d still holds %d open spans: %+v", i, len(open), open)
+		if open := tr.Snapshot("").Open; len(open) > 0 {
+			t.Errorf("tracer %d still holds %d open spans: %+v", i, len(open), open)
 		}
 	}
 }
@@ -66,19 +66,19 @@ func spansByName(spans []telemetry.SpanRecord, name string) []telemetry.SpanReco
 // assembled tree.
 func TestClusterTracePropagatesAcrossWorkers(t *testing.T) {
 	specs := testGrid(t)
-	coordRec := telemetry.NewFlightRecorder(0)
-	w1Rec := telemetry.NewFlightRecorder(0)
-	w2Rec := telemetry.NewFlightRecorder(0)
-	w1, _ := startTracedWorker(t, w1Rec)
-	w2, _ := startTracedWorker(t, w2Rec)
+	coordTr := telemetry.NewTracer(nil)
+	w1Tr := telemetry.NewTracer(nil)
+	w2Tr := telemetry.NewTracer(nil)
+	w1, _ := startTracedWorker(t, w1Tr)
+	w2, _ := startTracedWorker(t, w2Tr)
 
-	root := telemetry.StartSpan(nil, coordRec, telemetry.SpanContext{}, "test", "job")
+	root := telemetry.StartSpan(coordTr, telemetry.SpanContext{}, "test", "job")
 	ctx := telemetry.ContextWithSpan(context.Background(), root.Context())
 	ctx = telemetry.ContextWithBaggage(ctx, map[string]string{"tenant": "acme", "job": "j-000042"})
 	rep, err := Run(ctx, specs, Options{
 		Workers:   []string{w1.URL, w2.URL},
 		ShardSize: 2, // several dispatches, so both workers see shards
-		Recorder:  coordRec,
+		Tracer:    coordTr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func TestClusterTracePropagatesAcrossWorkers(t *testing.T) {
 	}
 
 	traceID := root.Context().TraceID
-	coord := coordRec.Spans(traceID)
-	workerSpans := append(w1Rec.Spans(traceID), w2Rec.Spans(traceID)...)
+	coord := coordTr.Snapshot(traceID).Spans
+	workerSpans := append(w1Tr.Snapshot(traceID).Spans, w2Tr.Snapshot(traceID).Spans...)
 
 	sweeps := spansByName(coord, "sweep")
 	if len(sweeps) != 1 {
@@ -143,7 +143,7 @@ func TestClusterTracePropagatesAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	requireNoOpenSpans(t, 0, coordRec, w1Rec, w2Rec)
+	requireNoOpenSpans(t, 0, coordTr, w1Tr, w2Tr)
 
 	all := append(append([]telemetry.SpanRecord{}, coord...), workerSpans...)
 	tree := telemetry.BuildSpanTree(all)
@@ -159,18 +159,17 @@ func TestClusterTracePropagatesAcrossWorkers(t *testing.T) {
 // scenario (one shard torn mid-stream, lease expiry, remainder requeued
 // onto a worker that registers mid-run) and asserts the retry tracing
 // contract: every requeue attempt stays on the run's trace_id but mints
-// a FRESH dispatch span, and no span — on the stream or in the flight
-// recorder — is ever ended twice.
+// a FRESH dispatch span, and no span — on the stream or in the tracer's
+// ring — is ever ended twice.
 func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 	specs := testGrid(t)
 	stalling := httptest.NewServer(&stallingWorker{})
 	t.Cleanup(stalling.Close)
-	healthyRec := telemetry.NewFlightRecorder(0)
-	healthy, _ := startTracedWorker(t, healthyRec)
+	healthyTr := telemetry.NewTracer(nil)
+	healthy, _ := startTracedWorker(t, healthyTr)
 
 	var buf bytes.Buffer
-	tracer := telemetry.NewTracer(&buf)
-	coordRec := telemetry.NewFlightRecorder(0)
+	coordTr := telemetry.NewTracer(&buf)
 	reg := NewRegistry("montecarlo", time.Minute)
 	go func() {
 		time.Sleep(100 * time.Millisecond)
@@ -182,15 +181,14 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 		ShardSize:   64, // one big shard for the stalling worker
 		LeaseTTL:    300 * time.Millisecond,
 		BackoffBase: time.Millisecond,
-		Tracer:      tracer,
-		Recorder:    coordRec,
+		Tracer:      coordTr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNoOpenSpans(t, 0, coordRec, healthyRec)
+	requireNoOpenSpans(t, 0, coordTr, healthyTr)
 
-	spans := coordRec.Spans("")
+	spans := coordTr.Snapshot("").Spans
 	sweeps := spansByName(spans, "sweep")
 	if len(sweeps) != 1 {
 		t.Fatalf("%d sweep spans, want 1", len(sweeps))
@@ -227,7 +225,7 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 
 	// The healthy worker's eval spans joined the SAME trace, under the
 	// retry dispatch spans.
-	for _, e := range spansByName(healthyRec.Spans(""), "eval") {
+	for _, e := range spansByName(healthyTr.Snapshot("").Spans, "eval") {
 		if e.TraceID != traceID {
 			t.Errorf("retry eval span on trace %q, want %q", e.TraceID, traceID)
 		}
@@ -237,8 +235,8 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 	}
 
 	// Lease-expiry/requeue paths must never double-end a span: each
-	// span_id appears at most once among span_end events, and the flight
-	// recorder (which records on End) holds each span at most once.
+	// span_id appears at most once among span_end events, and the
+	// tracer's ring (which records on End) holds each span at most once.
 	ends := make(map[string]int)
 	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
 	sc.Buffer(make([]byte, 64<<10), 4<<20)
@@ -265,7 +263,7 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 	}
 	for id, n := range recorded {
 		if n > 1 {
-			t.Errorf("span %s recorded %d times in the flight recorder", id, n)
+			t.Errorf("span %s recorded %d times in the tracer's ring", id, n)
 		}
 	}
 }

@@ -144,7 +144,7 @@ const maxPendingShards = 1024
 // The shard counters live on telemetry handles — the same storage a
 // /metrics endpoint scrapes — so healthz and Prometheus exposition can
 // never disagree. A nil registry yields detached (but fully functional)
-// handles. Shards in flight are the open eval spans of the recorder set
+// handles. Shards in flight are the open eval spans of the tracer set
 // with SetTelemetry.
 type WorkerServer struct {
 	run      RunFunc
@@ -156,12 +156,11 @@ type WorkerServer struct {
 	rate     *telemetry.Gauge   // fairness_worker_scenarios_per_sec
 	rateBits atomic.Uint64      // float64 bits of the scenarios/sec EWMA
 
-	// Tracing (all optional; set via SetTelemetry): eval/stream spans on
+	// Tracing (optional; set via SetTelemetry): eval/stream spans on
 	// every shard, parented under the coordinator's dispatch span via the
-	// TraceHeader, recorded to the flight recorder behind GET /v1/traces.
-	backend  string
-	tracer   *telemetry.Tracer
-	recorder *telemetry.FlightRecorder
+	// TraceHeader.
+	backend string
+	tracer  *telemetry.Tracer
 
 	mu      sync.Mutex
 	pending map[string]time.Time // completed shards awaiting coordinator ack
@@ -191,14 +190,13 @@ func NewWorkerServerWithMetrics(run RunFunc, m *telemetry.Registry) *WorkerServe
 }
 
 // SetTelemetry wires the worker's span instrumentation: backend labels
-// the eval spans, tr receives span_start/span_end events, and rec holds
-// open and completed spans for GET /v1/traces (mounted by the caller via
-// telemetry.TracesHandler). Any argument may be zero/nil; call before
-// serving.
-func (s *WorkerServer) SetTelemetry(backend string, tr *telemetry.Tracer, rec *telemetry.FlightRecorder) {
-	s.backend = backend
-	s.tracer = tr
-	s.recorder = rec
+// the eval spans, and tr holds the eval and stream spans, open and
+// completed, for GET /v1/traces (mounted by the caller via
+// telemetry.TracesHandler). Give the run function's sweep the same
+// tracer and each eval span holds the shard's local sweep and scenario
+// spans too. Either argument may be zero/nil; call before serving.
+func (s *WorkerServer) SetTelemetry(backend string, tr *telemetry.Tracer) {
+	s.backend, s.tracer = backend, tr
 }
 
 // Register mounts the shard endpoints on mux.
@@ -323,7 +321,7 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 			profLabels = append(profLabels, k, v)
 		}
 	}
-	eval := telemetry.StartSpan(s.tracer, s.recorder, parent, "worker", "eval", evalAttrs...)
+	eval := telemetry.StartSpan(s.tracer, parent, "worker", "eval", evalAttrs...)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -353,7 +351,7 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	pprof.Do(ctx, pprof.Labels(profLabels...), func(ctx context.Context) {
 		stats, err = s.run(ctx, req.Scenarios, func(out sweep.Outcome) {
 			if stream == nil {
-				stream = telemetry.StartSpan(s.tracer, s.recorder, eval.Context(),
+				stream = telemetry.StartSpan(s.tracer, eval.Context(),
 					"worker", "stream", "shard", req.ShardID)
 			}
 			if enc.Encode(out) == nil {

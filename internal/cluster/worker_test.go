@@ -101,9 +101,9 @@ func TestWorkerShardClaimStreamAck(t *testing.T) {
 func TestWorkerCountersAndEvalSpan(t *testing.T) {
 	// The worker's view of one shard, from the surfaces that replace a
 	// per-shard table: the counters healthz reads, and the eval span in
-	// the flight recorder.
-	rec := telemetry.NewFlightRecorder(0)
-	srv, ws := startTracedWorker(t, rec)
+	// the tracer.
+	tr := telemetry.NewTracer(nil)
+	srv, ws := startTracedWorker(t, tr)
 	spec := scenario.Spec{Protocol: "pow", Stake: 0.3, Blocks: 100, Trials: 10, Seed: 7}.Normalized()
 	id := ShardID([]string{spec.MustHash()})
 	body, _ := json.Marshal(shardRequest{ShardID: id, Scenarios: []scenario.Spec{spec}})
@@ -120,8 +120,8 @@ func TestWorkerCountersAndEvalSpan(t *testing.T) {
 	if ws.Rate() <= 0 {
 		t.Errorf("Rate() = %v, want > 0 after a completed shard", ws.Rate())
 	}
-	requireNoOpenSpans(t, 0, rec)
-	evals := spansByName(rec.Spans(""), "eval")
+	requireNoOpenSpans(t, 0, tr)
+	evals := spansByName(tr.Snapshot("").Spans, "eval")
 	if len(evals) != 1 || evals[0].Attrs["shard"] != id ||
 		evals[0].Attrs["status"] != "done" || evals[0].Attrs["streamed"] != "1" {
 		t.Errorf("finished shard's eval span: %+v", evals)

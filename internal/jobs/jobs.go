@@ -151,14 +151,12 @@ type Config struct {
 	// and writes through its own namespace of it.
 	Cache sweep.CacheStore
 	// Metrics receives the fairness_jobs_* series, and Tracer the job
-	// service's spans (job, queued, gate_wait) as NDJSON. Both may be
-	// nil.
+	// service's spans (job, queued, gate_wait). Both may be nil. Share
+	// one tracer with the runner (cluster.Options.Tracer or the local
+	// runner's sweep.Options.Tracer) so a job's whole trace is served
+	// from one GET /v1/traces.
 	Metrics *telemetry.Registry
 	Tracer  *telemetry.Tracer
-	// Recorder, when non-nil, retains the job service's spans (job root,
-	// queued, gate_wait) for GET /v1/traces. Share one recorder with the
-	// cluster coordinator so a job's whole trace is served from one ring.
-	Recorder *telemetry.FlightRecorder
 }
 
 // Manager is the job service. Construct with NewManager.
@@ -186,7 +184,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:          cfg,
-		sched:        NewScheduler(cfg.Capacity, cfg.Metrics, cfg.Tracer, cfg.Recorder),
+		sched:        NewScheduler(cfg.Capacity, cfg.Metrics, cfg.Tracer),
 		slots:        make(chan struct{}, valueOr(cfg.MaxConcurrentJobs, 64)),
 		jobs:         make(map[string]*job),
 		queuedGauge:  cfg.Metrics.Gauge("fairness_jobs_queued"),
@@ -276,10 +274,10 @@ func (m *Manager) Submit(req SubmitRequest) (JobInfo, error) {
 	}
 	// Root the job's trace: one trace_id for the job's whole lifetime,
 	// with a queued child span covering submission → start.
-	j.span = telemetry.StartSpan(m.cfg.Tracer, m.cfg.Recorder, telemetry.SpanContext{},
+	j.span = telemetry.StartSpan(m.cfg.Tracer, telemetry.SpanContext{},
 		"jobs", "job", "job", j.info.ID, "tenant", tenant,
 		"name", req.Name, "scenarios", len(req.Specs), "priority", req.Priority)
-	j.queued = telemetry.StartSpan(m.cfg.Tracer, m.cfg.Recorder, j.span.Context(),
+	j.queued = telemetry.StartSpan(m.cfg.Tracer, j.span.Context(),
 		"jobs", "queued", "job", j.info.ID)
 	j.info.TraceID = j.span.Context().TraceID
 	m.jobs[j.info.ID] = j
@@ -347,17 +345,28 @@ func (m *Manager) finishJob(j *job, rep *sweep.Report, err error) {
 		}
 		rep.Outcomes = filled
 	}
-	m.mu.Lock()
-	prev := j.info.State
+	state, msg := StateDone, ""
 	switch {
 	case err == nil:
-		j.info.State = StateDone
 	case errors.Is(err, context.Canceled):
-		j.info.State = StateCancelled
+		state = StateCancelled
 	default:
-		j.info.State = StateFailed
-		j.info.Error = err.Error()
+		state, msg = StateFailed, err.Error()
 	}
+	// Close the trace before the job turns terminal, so whoever sees it
+	// finished finds its whole trace: the queued child first (a no-op
+	// unless the job was cancelled while still queued — End is
+	// idempotent), then the root.
+	j.queued.End("state", string(state))
+	end := []any{"state", string(state), "partial", rep != nil && rep.Partial}
+	if msg != "" {
+		end = append(end, "error", msg)
+	}
+	j.span.End(end...)
+
+	m.mu.Lock()
+	prev := j.info.State
+	j.info.State, j.info.Error = state, msg
 	j.info.FinishedMS = time.Now().UnixMilli()
 	if rep != nil {
 		// Cancellation and some failures still carry a partial report —
@@ -373,20 +382,10 @@ func (m *Manager) finishJob(j *job, rep *sweep.Report, err error) {
 	case StateRunning:
 		m.runningGauge.Add(-1)
 	}
-	info := j.info
 	m.pruneLocked(j.info.Tenant)
 	m.mu.Unlock()
 
-	// Close the trace: the queued child first (a no-op unless the job was
-	// cancelled while still queued — End is idempotent), then the root.
-	j.queued.End("state", string(info.State))
-	end := []any{"state", string(info.State), "partial", info.Partial}
-	if info.Error != "" {
-		end = append(end, "error", info.Error)
-	}
-	j.span.End(end...)
-
-	m.cfg.Metrics.Counter("fairness_jobs_finished_total", "state", string(info.State)).Inc()
+	m.cfg.Metrics.Counter("fairness_jobs_finished_total", "state", string(state)).Inc()
 }
 
 // pruneLocked evicts the tenant's oldest finished jobs beyond the

@@ -42,7 +42,6 @@ type Scheduler struct {
 	capacity func() int // max concurrently outstanding grants (<1 reads as 1)
 	metrics  *telemetry.Registry
 	tracer   *telemetry.Tracer
-	recorder *telemetry.FlightRecorder
 
 	mu          sync.Mutex
 	tenants     map[string]*schedTenant
@@ -81,14 +80,13 @@ type grant struct {
 // than demand, so pass something proportional to the worker pool (the
 // manager uses 2× live workers for cluster runs, 1 for local runs). A
 // nil capacity or one returning < 1 reads as 1. Each wait at a gate is a
-// gate_wait span on tr and rec, under the acquiring context's span.
-// Metrics, tracer and recorder may be nil.
-func NewScheduler(capacity func() int, m *telemetry.Registry, tr *telemetry.Tracer, rec *telemetry.FlightRecorder) *Scheduler {
+// gate_wait span on tr, under the acquiring context's span. Metrics and
+// tracer may be nil.
+func NewScheduler(capacity func() int, m *telemetry.Registry, tr *telemetry.Tracer) *Scheduler {
 	return &Scheduler{
 		capacity: capacity,
 		metrics:  m,
 		tracer:   tr,
-		recorder: rec,
 		tenants:  make(map[string]*schedTenant),
 	}
 }
@@ -172,7 +170,7 @@ func (g *schedGate) Acquire(ctx context.Context, want int) (int, func(), error) 
 	}
 	s := g.s
 	waitStart := time.Now()
-	span := telemetry.StartSpan(s.tracer, s.recorder, telemetry.SpanContextFrom(ctx),
+	span := telemetry.StartSpan(s.tracer, telemetry.SpanContextFrom(ctx),
 		"jobs", "gate_wait", "tenant", g.tenant, "job", g.job, "want", want)
 
 	s.mu.Lock()

@@ -87,7 +87,7 @@ func TestSchedulerConvergesToWeights(t *testing.T) {
 	const total = 4000
 	for i, weights := range cases {
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {
-			s := NewScheduler(nil, nil, nil, nil) // capacity 1: strict interleaving
+			s := NewScheduler(nil, nil, nil) // capacity 1: strict interleaving
 			tenants := make([]string, 0, len(weights))
 			sum := 0.0
 			for tenant, w := range weights {
@@ -116,7 +116,7 @@ func TestSchedulerConvergesToWeights(t *testing.T) {
 // criterion directly: two equal-weight tenants under saturation each
 // take 50% ± 10% of dispatches.
 func TestSchedulerEqualTenantsWithin10Percent(t *testing.T) {
-	s := NewScheduler(nil, telemetry.NewRegistry(), nil, nil)
+	s := NewScheduler(nil, telemetry.NewRegistry(), nil)
 	s.SetTenant("a", 1, 0)
 	s.SetTenant("b", 1, 0)
 	counts := saturate(t, s, []string{"a", "b"}, nil, 2000)
@@ -134,7 +134,7 @@ func TestSchedulerEqualTenantsWithin10Percent(t *testing.T) {
 // effective weight: priority +2 against 0 at equal tenant weight should
 // settle near a 4:1 split.
 func TestSchedulerPriorityBoost(t *testing.T) {
-	s := NewScheduler(nil, nil, nil, nil)
+	s := NewScheduler(nil, nil, nil)
 	s.SetTenant("hi", 1, 0)
 	s.SetTenant("lo", 1, 0)
 	counts := saturate(t, s, []string{"hi", "lo"}, map[string]int{"hi": 2}, 3000)
@@ -151,7 +151,7 @@ func TestSchedulerPriorityBoost(t *testing.T) {
 // scheduling admits latecomers at the current virtual time, it does
 // not make them pay down the incumbent's history.
 func TestSchedulerStarvationBound(t *testing.T) {
-	s := NewScheduler(nil, nil, nil, nil)
+	s := NewScheduler(nil, nil, nil)
 	s.SetTenant("huge", 1, 0)
 	s.SetTenant("tiny", 1, 0)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -241,7 +241,7 @@ func TestSchedulerStarvationBound(t *testing.T) {
 // scenario quota: grants clamp to the remaining headroom and further
 // requests block until a release.
 func TestSchedulerInflightQuotaClamps(t *testing.T) {
-	s := NewScheduler(func() int { return 100 }, nil, nil, nil)
+	s := NewScheduler(func() int { return 100 }, nil, nil)
 	s.SetTenant("q", 1, 3)
 	gate := s.Gate("q", "job", 0, time.Time{})
 	ctx := context.Background()
@@ -273,7 +273,7 @@ func TestSchedulerInflightQuotaClamps(t *testing.T) {
 // TestSchedulerAcquireCancelRace: a context cancelled around grant time
 // must neither leak the grant nor deadlock later acquires.
 func TestSchedulerAcquireCancelRace(t *testing.T) {
-	s := NewScheduler(nil, nil, nil, nil)
+	s := NewScheduler(nil, nil, nil)
 	s.SetTenant("r", 1, 0)
 	gate := s.Gate("r", "job", 0, time.Time{})
 	for range 200 {

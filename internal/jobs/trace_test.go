@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -14,12 +15,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// startTracedClusterWorker boots one worker node with span telemetry
-// wired into rec, and registers it with reg.
-func startTracedClusterWorker(t *testing.T, reg *cluster.Registry, rec *telemetry.FlightRecorder) {
+// startTracedClusterWorker boots one worker node whose eval/stream spans
+// and local sweep/scenario spans share tr, as in fairnessd, and
+// registers it with reg.
+func startTracedClusterWorker(t *testing.T, reg *cluster.Registry, tr *telemetry.Tracer) {
 	t.Helper()
-	ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{}))
-	ws.SetTelemetry("montecarlo", nil, rec)
+	ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{Tracer: tr}))
+	ws.SetTelemetry("montecarlo", tr)
 	mux := http.NewServeMux()
 	ws.Register(mux)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -35,18 +37,17 @@ func startTracedClusterWorker(t *testing.T, reg *cluster.Registry, rec *telemetr
 // TestJobTraceSingleRootedTreeReconcilesWithMakespan is the tracing
 // acceptance e2e: one job over a two-worker in-process cluster must
 // yield a single-rooted span tree (job → queued/sweep → gate_wait /
-// dispatch → eval → stream, plus merge), assembled from the coordinator
-// and worker flight recorders, whose per-stage durations sum to within
-// 10% of the measured makespan.
+// dispatch → eval → stream and local sweep → scenario, plus merge),
+// assembled from the coordinator's and the workers' tracers, whose
+// per-stage durations sum to within 10% of the measured makespan.
 func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 	trace := &safeBuf{}
 	tracer := telemetry.NewTracer(trace)
-	coordRec := telemetry.NewFlightRecorder(0)
-	w1Rec := telemetry.NewFlightRecorder(0)
-	w2Rec := telemetry.NewFlightRecorder(0)
+	w1Tr := telemetry.NewTracer(nil)
+	w2Tr := telemetry.NewTracer(nil)
 	reg := cluster.NewRegistry("montecarlo", 0)
-	startTracedClusterWorker(t, reg, w1Rec)
-	startTracedClusterWorker(t, reg, w2Rec)
+	startTracedClusterWorker(t, reg, w1Tr)
+	startTracedClusterWorker(t, reg, w2Tr)
 
 	m, err := NewManager(Config{
 		Runner: ClusterRunner(cluster.Options{
@@ -55,11 +56,9 @@ func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 			BackoffBase: time.Millisecond,
 			BackoffMax:  5 * time.Millisecond,
 			Tracer:      tracer,
-			Recorder:    coordRec,
 		}),
 		Capacity: func() int { return len(reg.Live()) },
 		Tracer:   tracer,
-		Recorder: coordRec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,10 +92,10 @@ func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 	}
 
 	// Assemble the tree exactly the way `fairctl trace` does: merge the
-	// coordinator's and every worker's flight recorder.
-	all := coordRec.Spans(info.TraceID)
-	all = append(all, w1Rec.Spans(info.TraceID)...)
-	all = append(all, w2Rec.Spans(info.TraceID)...)
+	// coordinator's and every worker's tracer.
+	all := tracer.Snapshot(info.TraceID).Spans
+	all = append(all, w1Tr.Snapshot(info.TraceID).Spans...)
+	all = append(all, w2Tr.Snapshot(info.TraceID).Spans...)
 	tree := telemetry.BuildSpanTree(all)
 	if len(tree.Roots) != 1 {
 		t.Fatalf("span tree has %d roots, want 1 (spans: %d)", len(tree.Roots), tree.Spans)
@@ -108,7 +107,7 @@ func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 
 	// Every lifecycle stage must be present in the breakdown.
 	breakdown := root.StageBreakdown()
-	for _, stage := range []string{"job", "queued", "sweep", "dispatch", "eval", "merge"} {
+	for _, stage := range []string{"job", "queued", "sweep", "dispatch", "eval", "scenario", "merge"} {
 		if _, ok := breakdown[stage]; !ok {
 			t.Errorf("stage %q missing from breakdown %v", stage, breakdown)
 		}
@@ -159,5 +158,37 @@ func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 	}
 	if evals == 0 {
 		t.Error("no worker eval spans joined the job's trace")
+	}
+
+	// Each worker's sweep shares its eval spans' tracer: every eval span
+	// holds exactly one local sweep span, which holds one scenario span
+	// per unique scenario of the shard, and nothing a worker recorded
+	// left the job's trace.
+	workerSpans := append(w1Tr.Snapshot("").Spans, w2Tr.Snapshot("").Spans...)
+	children := make(map[string][]telemetry.SpanRecord) // by parent span id
+	for _, s := range workerSpans {
+		if s.TraceID != info.TraceID {
+			t.Errorf("worker span %s [%s] on trace %q, want the job's %q", s.Name, s.Service, s.TraceID, info.TraceID)
+		}
+		children[s.ParentID] = append(children[s.ParentID], s)
+	}
+	named := func(spans []telemetry.SpanRecord, name, service string) (out []telemetry.SpanRecord) {
+		for _, s := range spans {
+			if s.Name == name && s.Service == service {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	for _, e := range named(workerSpans, "eval", "worker") {
+		sweeps := named(children[e.SpanID], "sweep", "local")
+		if len(sweeps) != 1 {
+			t.Errorf("eval span %s holds %d local sweep spans, want 1", e.SpanID, len(sweeps))
+			continue
+		}
+		got := len(named(children[sweeps[0].SpanID], "scenario", "local"))
+		if want, _ := strconv.Atoi(sweeps[0].Attrs["unique"]); got == 0 || got != want {
+			t.Errorf("local sweep span %s holds %d scenario spans, want %d", sweeps[0].SpanID, got, want)
+		}
 	}
 }

@@ -74,7 +74,8 @@ type Options struct {
 	// fairness_eval_seconds latency histogram. Handles are resolved once
 	// per run, so the per-scenario cost is a few atomic adds.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives the sweep's spans: one sweep span
+	// Tracer, when non-nil, holds the sweep's spans for GET /v1/traces
+	// (and writes them as NDJSON when it has a writer): one sweep span
 	// (service "local") under the context's span, or rooting a fresh
 	// trace, with one scenario span per unique scenario beneath it.
 	Tracer *telemetry.Tracer
@@ -248,7 +249,7 @@ func RunContext(ctx context.Context, specs []scenario.Spec, opts Options) (*Repo
 	)
 	// The sweep span joins the caller's trace (a traced job or cluster
 	// worker), or roots one of its own.
-	span := telemetry.StartSpan(opts.Tracer, nil, telemetry.SpanContextFrom(ctx),
+	span := telemetry.StartSpan(opts.Tracer, telemetry.SpanContextFrom(ctx),
 		"local", "sweep", "backend", backend, "scenarios", len(specs), "unique", len(uniq))
 
 	var (
@@ -270,7 +271,7 @@ func RunContext(ctx context.Context, specs []scenario.Spec, opts Options) (*Repo
 				}
 				idxs := groups[h]
 				spec := norm[idxs[0]]
-				sc := telemetry.StartSpan(opts.Tracer, nil, span.Context(), "local", "scenario",
+				sc := telemetry.StartSpan(opts.Tracer, span.Context(), "local", "scenario",
 					"hash", h, "name", specs[idxs[0]].Name)
 				out, hit, trials, err := evaluate(ctx, ev, spec, h, opts.Cache)
 				trialsRun.Add(trials)

@@ -1,8 +1,9 @@
 // Package telemetry is the repo's dependency-free observability layer:
 // a process-local metrics registry (counters, gauges, histograms with
-// exact snapshot semantics) plus spans, written as an NDJSON stream of
-// span_start/span_end events and held in a flight recorder. It is the
-// single source of truth every surface reads from — the sweep engine's
+// exact snapshot semantics) plus spans, held by one Tracer (open spans
+// and a ring of completed ones) and optionally written as an NDJSON
+// stream of span_start/span_end events. It is the single source of
+// truth every surface reads from — the sweep engine's
 // per-backend latency histograms, the cluster's shard-lifecycle
 // counters, fairnessd's healthz, the Prometheus-text /metrics endpoints
 // and `fairctl top` all observe the same handles.
@@ -18,9 +19,8 @@
 //     which is fine at the rates they are observed (per scenario or per
 //     shard, not per block).
 //   - Nil-safe. Methods on a nil *Registry return detached handles,
-//     and a span with a nil *Tracer and a nil *FlightRecorder records
-//     nothing, so instrumented code never branches on "is telemetry
-//     configured".
+//     and a span with a nil *Tracer records nothing, so instrumented
+//     code never branches on "is telemetry configured".
 //   - Exact snapshots. WritePrometheus and Snapshot read histograms
 //     under their lock: the sum, count and bucket counts in one
 //     exposition are mutually consistent, never torn.

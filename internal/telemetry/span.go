@@ -56,55 +56,56 @@ func newID() string {
 }
 
 // Span is one timed operation in a trace. Start one with StartSpan and
-// finish it with End; the pair emits span_start/span_end NDJSON events
-// on the tracer, and the flight recorder holds the span in its open set
-// from start to end, then keeps the completed record. Durations are
-// monotonic (time.Since on the captured start), immune to wall-clock
-// steps. A nil *Span is a no-op whose Context is zero.
+// finish it with End. The tracer lists the span among its open spans
+// from start to end, then keeps the completed record, and a tracer with
+// a writer also writes the pair as span_start/span_end NDJSON events.
+// Durations are monotonic (time.Since on the captured start), immune to
+// wall-clock steps. A nil *Span is a no-op whose Context is zero.
 type Span struct {
-	tracer   *Tracer
-	recorder *FlightRecorder
-	sc       SpanContext
-	parent   string
-	service  string
-	name     string
-	start    time.Time         // carries the monotonic clock reading
-	attrs    map[string]string // start attributes; never written after StartSpan
-	ended    atomic.Bool
+	tracer  *Tracer
+	sc      SpanContext
+	parent  string
+	service string
+	name    string
+	start   time.Time         // carries the monotonic clock reading
+	attrs   map[string]string // start attributes; never written after StartSpan
+	ended   atomic.Bool
 }
 
 // StartSpan opens a span named name under parent (a zero parent mints a
 // fresh trace and roots the span). service labels the process role
 // ("jobs", "coordinator", "worker", "local"). attrs are alternating key,
-// value pairs recorded on the span and emitted with the span_start
-// event. tr and rec may each be nil: the span still carries a usable
-// Context, so propagation works even when nothing records it, and with
-// both nil it builds no attribute map and no event. A non-nil rec lists
-// the span among its open spans until End.
-func StartSpan(tr *Tracer, rec *FlightRecorder, parent SpanContext, service, name string, attrs ...any) *Span {
+// value pairs recorded on the span and written with the span_start
+// event. tr may be nil: the span still carries a usable Context, so
+// propagation works even when nothing records it, and it builds no
+// attribute map and no event. A tracer without a writer builds no
+// event either.
+func StartSpan(tr *Tracer, parent SpanContext, service, name string, attrs ...any) *Span {
 	s := &Span{
-		tracer:   tr,
-		recorder: rec,
-		sc:       SpanContext{TraceID: parent.TraceID, SpanID: newID()},
-		service:  service,
-		name:     name,
-		start:    time.Now(),
+		tracer:  tr,
+		sc:      SpanContext{TraceID: parent.TraceID, SpanID: newID()},
+		service: service,
+		name:    name,
+		start:   time.Now(),
 	}
 	if parent.Valid() {
 		s.parent = parent.SpanID
 	} else {
 		s.sc.TraceID = newID()
 	}
-	if rec != nil && len(attrs) > 1 {
+	if tr == nil {
+		return s
+	}
+	if len(attrs) > 1 {
 		s.attrs = make(map[string]string, len(attrs)/2)
 		for i := 0; i+1 < len(attrs); i += 2 {
 			s.attrs[fmt.Sprint(attrs[i])] = fmt.Sprint(attrs[i+1])
 		}
 	}
-	if tr != nil {
+	if tr.w != nil {
 		tr.emit("span_start", s.event(attrs, nil)...)
 	}
-	rec.begin(s)
+	tr.begin(s)
 	return s
 }
 
@@ -133,26 +134,21 @@ func (s *Span) Context() SpanContext {
 	return s.sc
 }
 
-// End closes the span: it emits the span_end event with the monotonic
-// duration and moves the span from the flight recorder's open set to its
-// completed ring. End is idempotent — only the first call counts, so
-// requeue/retry paths that converge on the same span can never
-// double-close it. attrs are appended to the span's recorded attributes.
+// End closes the span: it moves the span from the tracer's open set to
+// its completed ring and, when the tracer has a writer, writes the
+// span_end event with the monotonic duration. End is idempotent — only
+// the first call counts, so requeue/retry paths that converge on the
+// same span can never double-close it. attrs are appended to the span's
+// recorded attributes.
 func (s *Span) End(attrs ...any) {
-	if s == nil || !s.ended.CompareAndSwap(false, true) {
-		return
-	}
-	if s.tracer == nil && s.recorder == nil {
+	if s == nil || s.tracer == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
 	d := time.Since(s.start)
-	if s.tracer != nil {
+	if s.tracer.w != nil {
 		s.tracer.emit("span_end", s.event(attrs, float64(d.Microseconds())/1000)...)
 	}
-	if s.recorder == nil {
-		return
-	}
-	// The completed record gets its own map: Open may be copying the
+	// The completed record gets its own map: Snapshot may be copying the
 	// start attributes concurrently.
 	all := s.attrs
 	if len(attrs) > 1 {
@@ -162,7 +158,7 @@ func (s *Span) End(attrs ...any) {
 			all[fmt.Sprint(attrs[i])] = fmt.Sprint(attrs[i+1])
 		}
 	}
-	s.recorder.finish(s, s.record(d, all))
+	s.tracer.finish(s, s.record(d, all))
 }
 
 // record renders the span as a SpanRecord lasting d with attrs.

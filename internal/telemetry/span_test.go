@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,12 +31,12 @@ func decodeEvents(t *testing.T, buf *bytes.Buffer) []map[string]any {
 }
 
 func TestStartSpanMintsTraceAndParentsChildren(t *testing.T) {
-	root := StartSpan(nil, nil, SpanContext{}, "jobs", "job")
+	root := StartSpan(nil, SpanContext{}, "jobs", "job")
 	rc := root.Context()
 	if !rc.Valid() {
 		t.Fatalf("root context invalid: %+v", rc)
 	}
-	child := StartSpan(nil, nil, rc, "coordinator", "sweep")
+	child := StartSpan(nil, rc, "coordinator", "sweep")
 	cc := child.Context()
 	if cc.TraceID != rc.TraceID {
 		t.Errorf("child trace %q, want parent's %q", cc.TraceID, rc.TraceID)
@@ -54,8 +57,7 @@ func TestStartSpanMintsTraceAndParentsChildren(t *testing.T) {
 func TestSpanEmitsPairedEventsAndRecords(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	rec := NewFlightRecorder(8)
-	s := StartSpan(tr, rec, SpanContext{}, "worker", "eval", "shard", "s-1")
+	s := StartSpan(tr, SpanContext{}, "worker", "eval", "shard", "s-1")
 	s.End("status", "done")
 
 	events := decodeEvents(t, &buf)
@@ -72,9 +74,9 @@ func TestSpanEmitsPairedEventsAndRecords(t *testing.T) {
 	if _, ok := end["duration_ms"].(float64); !ok {
 		t.Error("span_end missing duration_ms")
 	}
-	spans := rec.Spans("")
+	spans := tr.Snapshot("").Spans
 	if len(spans) != 1 {
-		t.Fatalf("recorder holds %d spans, want 1", len(spans))
+		t.Fatalf("tracer holds %d spans, want 1", len(spans))
 	}
 	got := spans[0]
 	if got.Name != "eval" || got.Service != "worker" ||
@@ -85,8 +87,8 @@ func TestSpanEmitsPairedEventsAndRecords(t *testing.T) {
 
 func TestSpanEndIsIdempotent(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewFlightRecorder(8)
-	s := StartSpan(NewTracer(&buf), rec, SpanContext{}, "worker", "eval")
+	tr := NewTracer(&buf)
+	s := StartSpan(tr, SpanContext{}, "worker", "eval")
 	s.End()
 	s.End("second", "call")
 	s.End()
@@ -100,21 +102,40 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 	if ends != 1 {
 		t.Errorf("span_end emitted %d times, want 1", ends)
 	}
-	if got := rec.Len(); got != 1 {
-		t.Errorf("recorder holds %d spans, want 1", got)
+	if got := tr.Snapshot("").Count; got != 1 {
+		t.Errorf("tracer holds %d spans, want 1", got)
 	}
 }
 
 func TestSinklessSpanBuildsNoPayload(t *testing.T) {
-	// With neither a tracer nor a recorder, a start plus end allocates
-	// the span and its two IDs: no attribute map, no event slice.
+	// With no tracer, a start plus end allocates the span and its two
+	// IDs: no attribute map, no event slice.
 	allocs := testing.AllocsPerRun(200, func() {
-		s := StartSpan(nil, nil, SpanContext{}, "local", "scenario",
+		s := StartSpan(nil, SpanContext{}, "local", "scenario",
 			"hash", "h", "name", "n", "scenarios", 16, "cache_hit", true, "share", 0.25)
 		s.End("trials", 60, "positions", 1)
 	})
 	if allocs > 3 {
 		t.Errorf("sink-less start+end made %.1f allocations, want at most 3", allocs)
+	}
+}
+
+func TestWriterlessTracerBuildsNoEvent(t *testing.T) {
+	// A tracer without a writer keeps the span's record and builds no
+	// NDJSON event: a start plus end costs what the record needs, far
+	// less than a tracer that writes both lines.
+	span := func(tr *Tracer) func() {
+		return func() {
+			s := StartSpan(tr, SpanContext{}, "local", "scenario",
+				"hash", "h", "name", "n", "scenarios", 16, "cache_hit", true, "share", 0.25)
+			s.End("trials", 60, "positions", 1)
+		}
+	}
+	ringOnly := testing.AllocsPerRun(200, span(NewTracer(nil)))
+	written := testing.AllocsPerRun(200, span(NewTracer(io.Discard)))
+	if ringOnly*2 > written {
+		t.Errorf("writer-less start+end made %.1f allocations against %.1f with a writer; want under half",
+			ringOnly, written)
 	}
 }
 
@@ -131,37 +152,55 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderRingEvictsOldest(t *testing.T) {
-	rec := NewFlightRecorder(4)
+// ringTracer returns a writer-less tracer whose ring holds capacity
+// spans instead of 4096.
+func ringTracer(capacity int) *Tracer {
+	tr := NewTracer(nil)
+	tr.ring = make([]SpanRecord, 0, capacity)
+	return tr
+}
+
+func TestTracerRingEvictsOldest(t *testing.T) {
+	tr := ringTracer(4)
+	root := StartSpan(tr, SpanContext{}, "test", "root")
+	var ids []string
 	for i := 0; i < 6; i++ {
-		rec.Record(SpanRecord{TraceID: "t", SpanID: string(rune('a' + i)), StartUnixNS: int64(i)})
+		s := StartSpan(tr, root.Context(), "test", "child")
+		ids = append(ids, s.Context().SpanID)
+		s.End()
 	}
-	if rec.Len() != 4 {
-		t.Errorf("Len %d, want 4", rec.Len())
+	snap := tr.Snapshot("")
+	if snap.Count != 4 || snap.Capacity != 4 {
+		t.Errorf("Count %d Capacity %d, want 4 and 4", snap.Count, snap.Capacity)
 	}
-	if rec.Dropped() != 2 {
-		t.Errorf("Dropped %d, want 2", rec.Dropped())
+	if snap.Dropped != 2 {
+		t.Errorf("Dropped %d, want 2", snap.Dropped)
 	}
-	spans := rec.Spans("")
-	if len(spans) != 4 || spans[0].SpanID != "c" || spans[3].SpanID != "f" {
-		t.Errorf("spans not oldest-first after wrap: %+v", spans)
+	if len(snap.Spans) != 4 || snap.Spans[0].SpanID != ids[2] || snap.Spans[3].SpanID != ids[5] {
+		t.Errorf("spans not oldest-first after wrap: %+v", snap.Spans)
 	}
-	rec.Record(SpanRecord{TraceID: "other", SpanID: "x"})
-	if got := rec.Spans("other"); len(got) != 1 || got[0].SpanID != "x" {
+	if len(snap.Open) != 1 || snap.Open[0].SpanID != root.Context().SpanID {
+		t.Errorf("open spans: %+v", snap.Open)
+	}
+	other := StartSpan(tr, SpanContext{}, "test", "other")
+	other.End()
+	if got := tr.Snapshot(other.Context().TraceID); len(got.Spans) != 1 || got.Spans[0].SpanID != other.Context().SpanID ||
+		len(got.Open) != 0 {
 		t.Errorf("trace filter: %+v", got)
 	}
-	var nilRec *FlightRecorder
-	nilRec.Record(SpanRecord{}) // no-op, must not panic
-	if nilRec.Len() != 0 || nilRec.Spans("") != nil {
-		t.Error("nil recorder should be empty")
+	var nilTr *Tracer
+	StartSpan(nilTr, SpanContext{}, "test", "root").End() // no-op, must not panic
+	if got := nilTr.Snapshot(""); got.Spans == nil || got.Open == nil || got.Count != 0 {
+		t.Errorf("nil tracer snapshot: %+v", got)
 	}
 }
 
 func TestTracesHandlerServesAndFilters(t *testing.T) {
-	rec := NewFlightRecorder(8)
-	rec.Record(SpanRecord{TraceID: "t1", SpanID: "a", Name: "eval"})
-	rec.Record(SpanRecord{TraceID: "t2", SpanID: "b", Name: "eval"})
-	h := TracesHandler(rec)
+	tr := ringTracer(8)
+	StartSpan(tr, SpanContext{}, "worker", "eval").End()
+	b := StartSpan(tr, SpanContext{}, "worker", "eval")
+	b.End()
+	h := TracesHandler(tr)
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces", nil))
@@ -174,12 +213,12 @@ func TestTracesHandlerServesAndFilters(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces?trace_id=t2", nil))
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces?trace_id="+b.Context().TraceID, nil))
 	resp = TracesResponse{}
 	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != 1 || resp.Spans[0].SpanID != "b" {
+	if resp.Count != 1 || resp.Spans[0].SpanID != b.Context().SpanID {
 		t.Errorf("filtered response: %+v", resp)
 	}
 
@@ -189,14 +228,18 @@ func TestTracesHandlerServesAndFilters(t *testing.T) {
 		t.Errorf("POST status %d, want 405", rr.Code)
 	}
 
-	rr = httptest.NewRecorder()
-	TracesHandler(nil).ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces", nil))
-	resp = TracesResponse{}
-	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Count != 0 {
-		t.Errorf("nil-recorder response: %+v", resp)
+	// A nil tracer serves empty arrays, not null: `jq '.spans[]'` must
+	// work against any daemon.
+	for _, h := range []http.Handler{TracesHandler(nil), TracesHandler(ringTracer(8))} {
+		rr = httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces", nil))
+		var raw map[string]json.RawMessage
+		if err := json.NewDecoder(rr.Body).Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		if string(raw["spans"]) != "[]" || string(raw["open"]) != "[]" || string(raw["count"]) != "0" {
+			t.Errorf("empty response: spans %s, open %s, count %s", raw["spans"], raw["open"], raw["count"])
+		}
 	}
 }
 
@@ -296,44 +339,44 @@ func TestBuildSpanTreeSelfTimeAndCriticalPath(t *testing.T) {
 }
 
 func TestOpenSpansLiveFromStartToEnd(t *testing.T) {
-	rec := NewFlightRecorder(8)
-	root := StartSpan(nil, rec, SpanContext{}, "coordinator", "sweep", "unique", 4)
-	child := StartSpan(nil, rec, root.Context(), "coordinator", "dispatch", "shard", "s-1")
-	other := StartSpan(nil, rec, SpanContext{}, "worker", "eval")
+	tr := NewTracer(nil)
+	root := StartSpan(tr, SpanContext{}, "coordinator", "sweep", "unique", 4)
+	child := StartSpan(tr, root.Context(), "coordinator", "dispatch", "shard", "s-1")
+	other := StartSpan(tr, SpanContext{}, "worker", "eval")
 
-	open := rec.Open("")
+	open := tr.Snapshot("").Open
 	if len(open) != 3 || open[0].Name != "sweep" || open[1].Name != "dispatch" {
 		t.Fatalf("open spans: %+v", open)
 	}
 	if open[0].Attrs["unique"] != "4" || open[1].ParentID != root.Context().SpanID {
 		t.Errorf("open records: %+v", open[:2])
 	}
-	if got := rec.Open(root.Context().TraceID); len(got) != 2 {
+	if got := tr.Snapshot(root.Context().TraceID).Open; len(got) != 2 {
 		t.Errorf("trace-filtered open spans: %+v", got)
 	}
-	if len(rec.Spans("")) != 0 {
+	if len(tr.Snapshot("").Spans) != 0 {
 		t.Error("completed ring holds spans that have not ended")
 	}
 
 	// Open hands out copies: neither the caller's edits nor End's
 	// attributes reach another reader's view.
 	open[1].Attrs["shard"] = "mutated"
-	held := rec.Open(root.Context().TraceID)[1]
+	held := tr.Snapshot(root.Context().TraceID).Open[1]
 	child.End("status", "acked")
 	if held.Attrs["shard"] != "s-1" || held.Attrs["status"] != "" {
 		t.Errorf("open record changed under its reader: %+v", held.Attrs)
 	}
-	done := rec.Spans("")
+	done := tr.Snapshot("").Spans
 	if len(done) != 1 || done[0].Attrs["shard"] != "s-1" || done[0].Attrs["status"] != "acked" {
 		t.Errorf("completed record: %+v", done)
 	}
-	if got := rec.Open(""); len(got) != 2 {
+	if got := tr.Snapshot("").Open; len(got) != 2 {
 		t.Errorf("ended span still open: %+v", got)
 	}
 
 	// The handler serves both lists; spans stays completed-only.
 	rr := httptest.NewRecorder()
-	TracesHandler(rec).ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces", nil))
+	TracesHandler(tr).ServeHTTP(rr, httptest.NewRequest("GET", "/v1/traces", nil))
 	var resp TracesResponse
 	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
@@ -345,23 +388,23 @@ func TestOpenSpansLiveFromStartToEnd(t *testing.T) {
 	root.End()
 	other.End()
 	root.End() // idempotent: must not record twice
-	if n := len(rec.Open("")); n != 0 {
+	if n := len(tr.Snapshot("").Open); n != 0 {
 		t.Errorf("%d spans still open after every End", n)
 	}
-	if n := rec.Len(); n != 3 {
-		t.Errorf("recorder holds %d completed spans, want 3", n)
+	if n := tr.Snapshot("").Count; n != 3 {
+		t.Errorf("tracer holds %d completed spans, want 3", n)
 	}
-	var nilRec *FlightRecorder
-	if nilRec.Open("") != nil {
-		t.Error("nil recorder reports open spans")
+	var nilTr *Tracer
+	if len(nilTr.Snapshot("").Open) != 0 {
+		t.Error("nil tracer reports open spans")
 	}
 }
 
 func TestOpenSpansConcurrentStartEndAndReads(t *testing.T) {
 	// Run under -race: spans start and end on many goroutines while
 	// others read the open set directly and through GET /v1/traces.
-	rec := NewFlightRecorder(64)
-	srv := httptest.NewServer(TracesHandler(rec))
+	tr := ringTracer(64)
+	srv := httptest.NewServer(TracesHandler(tr))
 	defer srv.Close()
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -376,7 +419,7 @@ func TestOpenSpansConcurrentStartEndAndReads(t *testing.T) {
 				default:
 				}
 				if i%2 == 0 {
-					for _, r := range rec.Open("") {
+					for _, r := range tr.Snapshot("").Open {
 						_ = r.Attrs["k"]
 					}
 					continue
@@ -402,8 +445,8 @@ func TestOpenSpansConcurrentStartEndAndReads(t *testing.T) {
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 200; i++ {
-				s := StartSpan(nil, rec, SpanContext{}, "worker", "eval", "k", g)
-				c := StartSpan(nil, rec, s.Context(), "worker", "stream")
+				s := StartSpan(tr, SpanContext{}, "worker", "eval", "k", g)
+				c := StartSpan(tr, s.Context(), "worker", "stream")
 				c.End("streamed", i)
 				s.End("status", "done", "k", i)
 			}
@@ -412,7 +455,58 @@ func TestOpenSpansConcurrentStartEndAndReads(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if n := len(rec.Open("")); n != 0 {
+	if n := len(tr.Snapshot("").Open); n != 0 {
 		t.Errorf("%d spans left open", n)
+	}
+}
+
+func TestSnapshotNeverLosesAnEndingSpan(t *testing.T) {
+	// One goroutine starts and ends spans one after another while reads
+	// of a full ring run. The span started last before a read is open or
+	// completed, so every read must list it, and an open span must be the
+	// successor of the newest completed one. Reading the two lists under
+	// separate locks lost the spans that ended between them.
+	tr := ringTracer(1024)
+	for i := 0; i < 1024; i++ {
+		StartSpan(tr, SpanContext{}, "worker", "eval", "seq", -1).End()
+	}
+	var started atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := StartSpan(tr, SpanContext{}, "worker", "eval", "seq", i)
+			started.Store(i + 1)
+			s.End()
+		}
+	}()
+	seq := func(r SpanRecord) int64 {
+		n, _ := strconv.ParseInt(r.Attrs["seq"], 10, 64)
+		return n
+	}
+	lost := 0
+	for read := 0; read < 1000; read++ {
+		last := started.Load() - 1
+		snap := tr.Snapshot("")
+		newest := seq(snap.Spans[len(snap.Spans)-1])
+		switch {
+		case len(snap.Open) > 1:
+			t.Fatalf("%d spans open, the writer holds at most one", len(snap.Open))
+		case len(snap.Open) == 1 && seq(snap.Open[0]) != newest+1:
+			lost++ // spans between the newest completed and the open one
+		case len(snap.Open) == 0 && newest < last:
+			lost++ // span last had started, yet is neither open nor completed
+		}
+	}
+	close(stop)
+	<-done
+	if lost > 0 {
+		t.Errorf("%d of 1000 reads of a full ring lost a span that ended during the read", lost)
 	}
 }

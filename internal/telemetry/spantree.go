@@ -12,7 +12,7 @@ type SpanNode struct {
 
 // SpanTree is the assembled causal tree of one trace. Roots are spans
 // without a retained parent — a fully captured trace has exactly one;
-// spans whose parent was evicted from a flight recorder surface as
+// spans whose parent was evicted from a tracer's ring surface as
 // additional roots rather than disappearing.
 type SpanTree struct {
 	Roots []*SpanNode
@@ -20,11 +20,10 @@ type SpanTree struct {
 	Spans int
 }
 
-// BuildSpanTree assembles span records (from any number of flight
-// recorders — coordinator, workers, job service) into one tree.
-// Duplicates by span_id collapse to a single node, so fetching
-// overlapping recorders is harmless. Children are ordered by start
-// time; roots likewise.
+// BuildSpanTree assembles span records (from any number of tracers —
+// coordinator, workers, job service) into one tree. Duplicates by
+// span_id collapse to a single node, so fetching overlapping sources is
+// harmless. Children are ordered by start time; roots likewise.
 func BuildSpanTree(spans []SpanRecord) *SpanTree {
 	nodes := make(map[string]*SpanNode, len(spans))
 	order := make([]string, 0, len(spans))

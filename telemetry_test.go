@@ -261,7 +261,7 @@ func TestTraceStreamsHoldOnlyPairedSpans(t *testing.T) {
 	var workers []string
 	for range 2 {
 		ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{Tracer: tracer}))
-		ws.SetTelemetry("montecarlo", tracer, nil)
+		ws.SetTelemetry("montecarlo", tracer)
 		mux := http.NewServeMux()
 		ws.Register(mux)
 		mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
