@@ -207,11 +207,14 @@ func WithJobServer(mux *http.ServeMux, m *JobManager) *JobServer {
 func NewJobClient(base string) *JobClient { return jobs.NewClient(base) }
 
 // JobClusterRunner executes each job as one distributed cluster run
-// over the shared worker pool described by base (its Gate and Cache are
-// overridden per job). With base.HTTPClient nil, the jobs share one
-// keep-alive connection pool. Workers compute a job's shards without
-// their own cache, so each outcome is written once, into the tenant's
-// namespace of the job manager's cache.
+// over one worker pool described by base (its Gate and Cache are
+// overridden per job). The jobs share that pool: its keep-alive
+// connections (with base.HTTPClient nil, a pool of the runner's own),
+// its membership and each worker's measured rate, so a static worker is
+// probed once rather than once per job and shard sizes carry over
+// between jobs. Workers compute a job's shards without their own cache,
+// so each outcome is written once, into the tenant's namespace of the
+// job manager's cache.
 func JobClusterRunner(base ClusterOptions) JobSweepRunner { return jobs.ClusterRunner(base) }
 
 // JobLocalRunner executes jobs in-process with sweep options opts,

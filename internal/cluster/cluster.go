@@ -67,8 +67,11 @@ const (
 // Options configures a distributed sweep.
 type Options struct {
 	// Workers lists static fairnessd base URLs ("host:port" or full URL)
-	// seeded into the pool after a health probe. With a Registry this
-	// list is optional.
+	// seeded into the pool after a health probe, with the rate their
+	// healthz reports as their first throughput estimate. Cluster runs
+	// (Run) probe every one of them before the first claim; a
+	// Coordinator probes each once and again only after a failed claim
+	// dropped it from the pool. With a Registry this list is optional.
 	Workers []string
 	// Registry, when non-nil, makes the pool self-organizing: live
 	// registered workers (plus any static Workers seeds) are eligible,
@@ -124,9 +127,9 @@ type Options struct {
 	LeaseTTL time.Duration
 	// HTTPClient overrides the transport (nil = a client with no overall
 	// timeout, since shard streams are long-lived, over a private
-	// connection pool that the run drains when it ends). Runs that share
-	// one client keep their worker connections alive between them, as
-	// jobs.ClusterRunner does.
+	// connection pool: Run drains it when it returns, a Coordinator keeps
+	// it for all its runs). Runs that share one client keep their worker
+	// connections alive between them.
 	HTTPClient *http.Client
 	// OnOutcome, when non-nil, streams every per-position outcome as it
 	// is merged (calls are serialised; order is scheduling-dependent,
@@ -311,6 +314,67 @@ func adaptiveShardSize(rate float64, targetTime time.Duration, maxSize int) int 
 	return n
 }
 
+// Run distributes the scenario list across the worker pool as a
+// one-shot coordinator: it probes every static worker before the first
+// claim and, when opts.HTTPClient is nil, dials through a private
+// connection pool that it drains before returning. Callers that run
+// many sweeps over one pool keep a Coordinator instead. See
+// Coordinator.Run for the report's semantics.
+func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Report, error) {
+	c := NewCoordinator(opts)
+	if opts.HTTPClient == nil {
+		// A one-shot run must not leave keep-alive goroutines behind.
+		defer c.client.CloseIdleConnections()
+	}
+	return c.Run(ctx, specs, nil, nil)
+}
+
+// Coordinator runs distributed sweeps over one worker pool that outlives
+// each run: the Options' Registry, or for static Workers a registry of
+// its own, and one HTTP client whose keep-alive connections every run
+// dials through (Options.HTTPClient, or a pool of the coordinator's
+// own). The static workers are probed on the coordinator's first run;
+// later runs probe only those not live in the pool, because they never
+// answered or a failed claim got them quarantined. Each worker's
+// throughput estimate carries over too, so a run's first shard is sized
+// from the rates earlier runs measured. Concurrent Runs may share one
+// Coordinator; building one does no I/O.
+type Coordinator struct {
+	opts         Options
+	backend      string
+	reg          *Registry
+	registryMode bool
+	client       *http.Client
+	met          *meters
+	// static lists the normalised Workers; seeded is set once a run has
+	// probed them all.
+	static []string
+	seeded atomic.Bool
+}
+
+// NewCoordinator builds a coordinator over opts. Its runs wait for a
+// worker to register when opts.Registry is set, and fail with
+// ErrNoWorkers when no static worker answers otherwise.
+func NewCoordinator(opts Options) *Coordinator {
+	c := &Coordinator{opts: opts, backend: opts.Backend, reg: opts.Registry,
+		registryMode: opts.Registry != nil, client: opts.HTTPClient, met: newMeters(opts.Metrics)}
+	if c.backend == "" {
+		c.backend = "montecarlo"
+	}
+	if c.reg == nil {
+		c.reg = NewRegistry(c.backend, 0)
+	}
+	if c.client == nil {
+		c.client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
+	}
+	for _, w := range opts.Workers {
+		if u := NormalizeWorkerURL(w); u != "" {
+			c.static = append(c.static, u)
+		}
+	}
+	return c
+}
+
 // Run distributes the scenario list across the worker pool and merges
 // the workers' streams into one report with local-sweep semantics:
 // outcomes in input order, identical scenarios computed once and fanned
@@ -320,9 +384,18 @@ func adaptiveShardSize(rate float64, targetTime time.Duration, maxSize int) int 
 // only the timing/cache bookkeeping (ElapsedMS, CacheHit, Stats) can
 // differ, since those record where and how the work actually ran. This
 // holds across every scheduling accident: a worker registering mid-run,
-// a lease expiring mid-shard, a shard reassigned after a crash.
-func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Report, error) {
+// a lease expiring mid-shard, a shard reassigned after a crash. A nil
+// gate or cache means the Options' own.
+func (c *Coordinator) Run(ctx context.Context, specs []scenario.Spec,
+	gate DispatchGate, cache sweep.CacheStore) (*sweep.Report, error) {
 	start := time.Now()
+	opts := c.opts
+	if gate != nil {
+		opts.Gate = gate
+	}
+	if cache != nil {
+		opts.Cache = cache
+	}
 
 	// Prologue mirrors the local sweep runner: validate, normalise, hash,
 	// group positions by content hash.
@@ -349,37 +422,23 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 		groups[h] = append(groups[h], i)
 	}
 
-	backend := opts.Backend
-	if backend == "" {
-		backend = "montecarlo"
-	}
-	reg := opts.Registry
-	registryMode := reg != nil
-	if reg == nil {
-		reg = NewRegistry(backend, 0)
-	} else if err := reg.requireBackend(backend); err != nil {
-		return nil, err
-	}
-	client := opts.HTTPClient
-	if client == nil {
-		// A private connection pool, drained when the run ends: a
-		// coordinator must not leave keep-alive goroutines behind.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		defer tr.CloseIdleConnections()
-		client = &http.Client{Transport: tr}
+	backend := c.backend
+	if c.registryMode {
+		if err := c.reg.requireBackend(backend); err != nil {
+			return nil, err
+		}
 	}
 
 	rep := &sweep.Report{Outcomes: make([]sweep.Outcome, len(specs))}
 	rep.Stats.Scenarios = len(specs)
-
-	met := newMeters(opts.Metrics)
+	met := c.met
 
 	// The run's trace: one sweep span covering the whole distributed run,
 	// rooted under the caller's span (a job's root span, via ctx) or a
 	// fresh trace. Every shard dispatch and gate wait below is a child.
 	bag := telemetry.BaggageFrom(ctx)
 	spanAttrs := []any{"backend", backend, "scenarios", len(specs), "unique", len(uniq),
-		"registry_mode", registryMode, "static_workers", len(opts.Workers)}
+		"registry_mode", c.registryMode, "static_workers", len(opts.Workers)}
 	if v, ok := bag["tenant"]; ok {
 		spanAttrs = append(spanAttrs, "tenant", v)
 	}
@@ -460,14 +519,14 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 			met:          met,
 			span:         runSpan.Context(),
 			labels:       shardLabels(bag),
-			registryMode: registryMode,
+			registryMode: c.registryMode,
 			maxAttempts:  valueOr(opts.MaxAttempts, 3),
 			backoffBase:  durationOr(opts.BackoffBase, 100*time.Millisecond),
 			backoffMax:   durationOr(opts.BackoffMax, 2*time.Second),
 			probeTimeout: durationOr(opts.ProbeTimeout, 5*time.Second),
 			ackTimeout:   durationOr(opts.AckTimeout, 2*time.Second),
 			lease:        durationOr(opts.LeaseTTL, defaultLeaseTTL),
-			client:       client,
+			client:       c.client,
 			deliver:      deliver,
 			isDelivered: func(h string) bool {
 				mu.Lock()
@@ -478,7 +537,7 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 		}
 		// The gate sees the sweep span, so its waits parent under it.
 		sctx := telemetry.ContextWithSpan(ctx, runSpan.Context())
-		if err := runScheduler(sctx, items, opts, run, reg); err != nil {
+		if err := c.schedule(sctx, items, opts, run); err != nil {
 			if ctx.Err() != nil {
 				// Partial report, local-sweep cancellation semantics.
 				mu.Lock()
@@ -523,9 +582,9 @@ func Run(ctx context.Context, specs []scenario.Spec, opts Options) (*sweep.Repor
 	return rep, nil
 }
 
-// meters are a run's fairness_cluster_* series. They register when the
-// run starts, so a coordinator still waiting for its first worker
-// already exposes them. A nil registry yields detached handles, so an
+// meters are a coordinator's fairness_cluster_* series. They register
+// when the coordinator is built, so one still waiting for its first
+// worker already exposes them. A nil registry yields detached handles, so an
 // uninstrumented run pays only uncontended atomic adds.
 type meters struct {
 	claimed, acked, requeued *telemetry.Counter
@@ -635,34 +694,46 @@ func (s *sched) fail(err error) {
 	s.cond.Broadcast()
 }
 
-// runScheduler drives the dynamic worker pool to completion: seed the
+// seedStatic probes the static workers — all of them on the
+// coordinator's first run, afterwards only those not live in the pool (a
+// quarantine drops a static worker) — and adds those that answer, with
+// the rate their healthz reports. A worker running another backend
+// fails the run.
+func (c *Coordinator) seedStatic(ctx context.Context, timeout time.Duration) error {
+	urls := c.static
+	if c.seeded.Load() {
+		urls = nil
+		for _, u := range c.static {
+			if !c.reg.isLive(u) {
+				urls = append(urls, u)
+			}
+		}
+	}
+	for _, h := range Status(ctx, urls, c.client, timeout) {
+		if !h.OK {
+			continue
+		}
+		if h.Backend != "" && h.Backend != c.backend {
+			return fmt.Errorf("%w: %s runs %q, coordinator expects %q",
+				ErrBackendMismatch, h.URL, h.Backend, c.backend)
+		}
+		c.reg.addStatic(h.URL, c.backend, h.ScenariosPerSec)
+	}
+	c.seeded.Store(true)
+	return nil
+}
+
+// schedule drives the dynamic worker pool to completion: seed the
 // static workers, spawn a loop per live member (and per member that
 // registers later), and wait until every work item is delivered or the
 // run fails.
-func runScheduler(ctx context.Context, items []workItem, opts Options,
-	run clusterRun, reg *Registry) error {
-	// Seed static workers: drop unreachable ones, reject misconfigured
-	// ones loudly.
-	urls := make([]string, 0, len(opts.Workers))
-	for _, w := range opts.Workers {
-		if u := NormalizeWorkerURL(w); u != "" {
-			urls = append(urls, u)
-		}
+func (c *Coordinator) schedule(ctx context.Context, items []workItem, opts Options, run clusterRun) error {
+	if err := c.seedStatic(ctx, run.probeTimeout); err != nil {
+		return err
 	}
-	if len(urls) > 0 {
-		for _, h := range Status(ctx, urls, run.client, run.probeTimeout) {
-			if !h.OK {
-				continue
-			}
-			if h.Backend != "" && h.Backend != run.backend {
-				return fmt.Errorf("%w: %s runs %q, coordinator expects %q",
-					ErrBackendMismatch, h.URL, h.Backend, run.backend)
-			}
-			reg.addStatic(h.URL, run.backend)
-		}
-	}
+	reg := c.reg
 	if !run.registryMode && len(reg.Live()) == 0 {
-		return fmt.Errorf("%w: none of %d configured workers answered /v1/healthz", ErrNoWorkers, len(urls))
+		return fmt.Errorf("%w: none of %d configured workers answered /v1/healthz", ErrNoWorkers, len(c.static))
 	}
 
 	runCtx, runCancel := context.WithCancel(ctx)
@@ -1042,14 +1113,11 @@ func (s *sched) claimShard(url string, t *task, spanCtx telemetry.SpanContext) (
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Done  *bool  `json:"done"`
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		var ln streamLine
+		if err := json.Unmarshal(line, &ln); err != nil {
 			return shardSummary{}, deliveredOut, fmt.Errorf("undecodable stream line: %v", err)
 		}
-		if probe.Done != nil {
+		if ln.Done != nil {
 			var sum shardSummary
 			if err := json.Unmarshal(line, &sum); err != nil {
 				return shardSummary{}, deliveredOut, err
@@ -1065,13 +1133,10 @@ func (s *sched) claimShard(url string, t *task, spanCtx telemetry.SpanContext) (
 			}
 			return sum, deliveredOut, nil
 		}
-		if probe.Error != "" {
-			return shardSummary{}, deliveredOut, fmt.Errorf("worker error: %s", probe.Error)
+		if ln.Error != "" {
+			return shardSummary{}, deliveredOut, fmt.Errorf("worker error: %s", ln.Error)
 		}
-		var o sweep.Outcome
-		if err := json.Unmarshal(line, &o); err != nil {
-			return shardSummary{}, deliveredOut, fmt.Errorf("undecodable outcome line: %v", err)
-		}
+		o := ln.Outcome
 		if !want[o.Hash] {
 			continue // stray outcome from another run's namespace; ignore
 		}
@@ -1089,6 +1154,14 @@ func (s *sched) claimShard(url string, t *task, spanCtx telemetry.SpanContext) (
 		return shardSummary{}, deliveredOut, leaseErr(err)
 	}
 	return shardSummary{}, deliveredOut, leaseErr(fmt.Errorf("stream ended without a summary line"))
+}
+
+// streamLine is one shard-stream line, decoded once: an outcome, a
+// worker error, or (Done set) the summary that closes the stream.
+type streamLine struct {
+	sweep.Outcome
+	Done  *bool  `json:"done"`
+	Error string `json:"error"`
 }
 
 // checkOutcome vets a streamed outcome before it is merged and cached:

@@ -29,12 +29,14 @@ type Member struct {
 	URL     string `json:"url"`
 	Backend string `json:"backend"`
 	// Static marks a seed worker from a -workers list: it never expires
-	// and never heartbeats; it leaves the pool only when claims and the
-	// liveness probe both fail.
+	// and never heartbeats; it leaves the pool only when quarantined (a
+	// claim and then the liveness probe fail, its lease expires, or it
+	// streams a bad outcome).
 	Static bool `json:"static,omitempty"`
 	// ScenariosPerSec is the registry's best throughput estimate: the
 	// coordinator-observed EWMA when shards have completed, otherwise
-	// the worker's self-reported healthz rate.
+	// the rate the worker reported (heartbeat, or a static worker's
+	// healthz).
 	ScenariosPerSec float64 `json:"scenarios_per_sec,omitempty"`
 	// LastSeenMS is milliseconds since the last heartbeat (0 for static
 	// members, which are probed instead).
@@ -47,7 +49,7 @@ type member struct {
 	static         bool
 	lastSeen       time.Time // zero for static members: no expiry
 	penalizedUntil time.Time
-	reportedRate   float64 // worker-reported scenarios/sec (heartbeat)
+	reportedRate   float64 // worker-reported scenarios/sec (heartbeat or healthz)
 	localRate      float64 // coordinator-observed EWMA
 	hasLocalRate   bool
 }
@@ -60,8 +62,11 @@ type member struct {
 // per-worker throughput estimate (EWMA of scenarios/sec) adaptive shard
 // sizing feeds on.
 //
-// A Registry may outlive any single Run: pass the same instance to
-// successive runs and the learned throughput rates carry over.
+// A Registry may outlive any single run: pass the same instance to
+// successive runs, or keep one Coordinator, and the learned throughput
+// rates carry over. A Coordinator over static Workers and no Registry
+// keeps a registry of its own, so its static workers' membership and
+// rates carry over between its runs as well.
 type Registry struct {
 	mu      sync.Mutex
 	backend string
@@ -162,17 +167,22 @@ func (r *Registry) Register(url, backend string, rate float64) error {
 }
 
 // addStatic seeds a probed -workers entry: a permanent member renewed
-// by liveness probes rather than heartbeats.
-func (r *Registry) addStatic(url, backend string) {
+// by liveness probes rather than heartbeats. rate is the scenarios/sec
+// its healthz reported (0 = unknown).
+func (r *Registry) addStatic(url, backend string, rate float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.members[url]; ok {
-		m.static = true
-		m.lastSeen = time.Time{}
-		return
+	m, ok := r.members[url]
+	if !ok {
+		m = &member{url: url, backend: backend}
+		r.members[url] = m
+		r.notifyLocked()
 	}
-	r.members[url] = &member{url: url, backend: backend, static: true}
-	r.notifyLocked()
+	m.static = true
+	m.lastSeen = time.Time{}
+	if rate > 0 {
+		m.reportedRate = rate
+	}
 }
 
 // Deregister removes a worker immediately (the graceful-shutdown path).
@@ -214,6 +224,22 @@ func (m *member) rate() float64 {
 	return m.reportedRate
 }
 
+// expired reports whether a registered member's lease has lapsed;
+// static members never expire.
+func (m *member) expired(now time.Time, ttl time.Duration) bool {
+	return !m.static && now.Sub(m.lastSeen) > ttl
+}
+
+// isLive reports whether url is a member eligible for work, as Live
+// would list it.
+func (r *Registry) isLive(url string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := r.members[url]
+	now := time.Now()
+	return ok && !m.expired(now, r.ttl) && !now.Before(m.penalizedUntil)
+}
+
 // Live prunes expired leases and returns the members currently eligible
 // for work, penalized workers excluded.
 func (r *Registry) Live() []Member {
@@ -222,7 +248,7 @@ func (r *Registry) Live() []Member {
 	now := time.Now()
 	out := make([]Member, 0, len(r.members))
 	for url, m := range r.members {
-		if !m.static && now.Sub(m.lastSeen) > r.ttl {
+		if m.expired(now, r.ttl) {
 			delete(r.members, url)
 			continue
 		}

@@ -59,7 +59,7 @@ func TestRegistryDeregisterAndBackendMismatch(t *testing.T) {
 
 func TestRegistryStaticMembersNeverExpire(t *testing.T) {
 	reg := NewRegistry("montecarlo", 20*time.Millisecond)
-	reg.addStatic("http://h:1", "montecarlo")
+	reg.addStatic("http://h:1", "montecarlo", 0)
 	time.Sleep(60 * time.Millisecond)
 	live := reg.Live()
 	if len(live) != 1 || !live[0].Static {

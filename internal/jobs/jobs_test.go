@@ -413,6 +413,70 @@ func TestClusterRunnerReusesOneConnectionPerWorker(t *testing.T) {
 	}
 }
 
+func TestClusterRunnerProbesStaticWorkersOnceAndKeepsShardSizes(t *testing.T) {
+	// A job runner keeps one worker pool. Its first job probes both
+	// static workers and learns their rates from cold shards of two;
+	// every later job of six fresh cells probes neither and goes out as
+	// one claim sized from those rates.
+	var probes, claims atomic.Int64
+	serve := func() string {
+		ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{}))
+		mux := http.NewServeMux()
+		ws.Register(mux)
+		mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+			probes.Add(1)
+			json.NewEncoder(w).Encode(map[string]any{"status": "ok", "backend": "montecarlo"})
+		})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				claims.Add(1)
+			}
+			mux.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	urls := []string{serve(), serve()}
+	m, err := NewManager(Config{
+		Runner:   ClusterRunner(cluster.Options{Workers: urls}),
+		Capacity: func() int { return 2 * len(urls) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	// The first job's cells are heavier, so both workers are claiming
+	// before either finishes its cold shard and each learns a rate.
+	first, err := scenario.Grid{
+		Base:      scenario.Spec{Blocks: 1500, Trials: 40, Seed: 59},
+		Protocols: []string{"pow", "mlpos"},
+		Stake:     []float64{0.2, 0.3, 0.4},
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		specs := first
+		if i > 0 {
+			specs = jobSpecs(t, uint64(60+i))
+		}
+		p0, c0 := probes.Load(), claims.Load()
+		info, err := m.Submit(SubmitRequest{Tenant: "acme", Specs: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, info.ID, StateDone)
+		p, c := probes.Load()-p0, claims.Load()-c0
+		switch {
+		case i == 0 && p != int64(len(urls)):
+			t.Errorf("first job sent %d healthz probes, want %d", p, len(urls))
+		case i > 0 && (p != 0 || c != 1):
+			t.Errorf("job %d of %d fresh cells sent %d healthz probes and %d claims, want 0 and 1",
+				i+1, len(specs), p, c)
+		}
+	}
+}
+
 func TestJobServerHTTPEndToEnd(t *testing.T) {
 	m, err := NewManager(Config{Runner: LocalRunner(sweep.Options{}, 4)})
 	if err != nil {

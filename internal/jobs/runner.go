@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"net/http"
 
 	"repro/internal/cachestore"
 	"repro/internal/cluster"
@@ -19,30 +18,22 @@ import (
 type SweepRunner func(ctx context.Context, specs []scenario.Spec,
 	gate cluster.DispatchGate, cache sweep.CacheStore) (*sweep.Report, error)
 
-// ClusterRunner executes jobs on the shared worker pool: each job is
-// one cluster.Run whose shard dispatch the manager's scheduler gates.
-// base is copied per job; its Gate and (when the manager namespaces a
-// cache) Cache fields are overridden. When base.HTTPClient is nil, the
-// runner builds one keep-alive client and every job dials the workers
-// through it, instead of through a pool of its own.
+// ClusterRunner executes jobs on one shared worker pool: it returns the
+// Run of a single cluster.Coordinator over base, so each job is one run
+// whose shard dispatch the manager's scheduler gates (the job's gate and,
+// when the manager namespaces a cache, its tenant cache stand in for
+// base's). The jobs share the coordinator's keep-alive connections, its
+// registry and the throughput each worker showed on earlier jobs: a
+// static worker is probed on the first job and again only after a failed
+// claim dropped it, and a job's first shard is sized from the rates
+// earlier jobs measured.
 //
 // A job's shards carry its tenant, and a worker computes them without
 // its own cache. Each outcome is therefore written once, into the
 // tenant's namespace of the manager's cache, and workers that share
 // that cache's directory keep no copy another tenant could hit.
 func ClusterRunner(base cluster.Options) SweepRunner {
-	if base.HTTPClient == nil {
-		base.HTTPClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
-	}
-	return func(ctx context.Context, specs []scenario.Spec,
-		gate cluster.DispatchGate, cache sweep.CacheStore) (*sweep.Report, error) {
-		o := base
-		o.Gate = gate
-		if cache != nil {
-			o.Cache = cache
-		}
-		return cluster.Run(ctx, specs, o)
-	}
+	return cluster.NewCoordinator(base).Run
 }
 
 // LocalRunner executes jobs in-process, pacing through the gate in

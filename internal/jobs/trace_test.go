@@ -66,9 +66,10 @@ func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 	defer m.Close()
 
 	g := scenario.Grid{
-		// Sized so the job runs a few hundred ms: long enough that the
-		// 10% reconciliation window dwarfs polling/teardown jitter.
-		Base:      scenario.Spec{Blocks: 2400, Trials: 60, Seed: 7},
+		// Sized so the job runs for at least 300 ms on a 2-vCPU host:
+		// long enough that the 10% reconciliation window dwarfs
+		// polling/teardown jitter.
+		Base:      scenario.Spec{Blocks: 2400, Trials: 400, Seed: 7},
 		Protocols: []string{"pow", "mlpos", "cpos"},
 		Stake:     []float64{0.1, 0.2, 0.3, 0.4},
 	}
@@ -84,6 +85,7 @@ func TestJobTraceSingleRootedTreeReconcilesWithMakespan(t *testing.T) {
 	}
 	fin := waitState(t, m, info.ID, StateDone)
 	makespanMS := float64(time.Since(t0).Microseconds()) / 1000
+	t.Logf("job makespan %.1fms", makespanMS)
 	if fin.Partial {
 		t.Fatal("job finished partial")
 	}
