@@ -175,10 +175,16 @@ func (d *Dir) Put(key string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("cachestore: %w", err)
+	// Most puts land in a directory an earlier put made, so the directory
+	// is created only when the temp file cannot be.
+	dir := filepath.Dir(p)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("cachestore: %w", err)
+		}
+		tmp, err = os.CreateTemp(dir, ".tmp-*")
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cachestore: %w", err)
 	}

@@ -147,6 +147,32 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+func TestPutRecreatesRemovedDirectory(t *testing.T) {
+	root := t.TempDir()
+	d, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("t-a:mc:aa11", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	// Remove the namespace directory the first put made, under the store.
+	if err := os.RemoveAll(filepath.Join(root, "t-a")); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"t-a:mc:aa11", "t-a:mc:bb22"} {
+		if err := d.Put(key, []byte("v2")); err != nil {
+			t.Fatalf("put %s into a removed namespace: %v", key, err)
+		}
+		if data, ok, err := d.Get(key); err != nil || !ok || string(data) != "v2" {
+			t.Fatalf("get %s = %q ok=%v err=%v", key, data, ok, err)
+		}
+	}
+	if d.Len() != 2 {
+		t.Errorf("len = %d, want 2 (no leftover temp files)", d.Len())
+	}
+}
+
 func TestConcurrentWritersConverge(t *testing.T) {
 	d, err := Open(t.TempDir())
 	if err != nil {

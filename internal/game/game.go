@@ -143,29 +143,53 @@ func (s *State) Credit(i int, reward, stake float64) {
 }
 
 // CreditN records n identical credits for miner i. The result is bit for
-// bit that of n calls of Credit(i, reward, stake): the same additions in
-// the same order, to the same reward and stake (or withheld) balances,
-// but with each running sum kept in a register rather than stored and
-// reloaded between additions.
+// bit that of n calls of Credit(i, reward, stake), which add to the same
+// reward and stake (or withheld) balances. A balance b credited x takes
+// the closed form b + n·d, with d = (b+x) − b, when that provably equals
+// n additions: b + n·d has b's sign and exponent, d ≥ 0, and
+// 2·|x − d| < ulp(b) (see addN). Otherwise it makes the n additions,
+// keeping the running sum in a register.
 func (s *State) CreditN(i, n int, reward, stake float64) {
 	if n <= 0 {
 		return
 	}
-	var discard float64
-	dst := &discard // stake 0 joins no balance, as in Credit
+	s.Rewards[i], _ = addN(s.Rewards[i], reward, n)
 	switch {
-	case stake == 0:
+	case stake == 0: // joins no balance, as in Credit
 	case s.withholdPeriod(i) != 0:
-		dst = &s.pending[i]
+		s.pending[i], _ = addN(s.pending[i], stake, n)
 	default:
-		dst = &s.Stakes[i]
+		s.Stakes[i], _ = addN(s.Stakes[i], stake, n)
 	}
-	rw, st := s.Rewards[i], *dst
-	for k := 0; k < n; k++ {
-		rw += reward
-		st += stake
+}
+
+// addN returns b after n ≥ 0 additions b += x, and whether it took the
+// closed form b + n·d, with d = (b+x) − b, instead of adding n times.
+// It takes the closed form, which is then exact, when:
+//   - b + n·d has b's sign and exponent, so both lie in one binade
+//     [2^e, 2^(e+1)), or both below 2^−1022, where floats are evenly
+//     spaced by one ulp. Had the first addition left the binade, or n·d
+//     not been exact, the rounded b + n·d would have reached 2^(e+1);
+//   - d ≥ 0, so the sum only rises. Going down, it could land on 2^e,
+//     below which floats are spaced ulp/2, and round past it next time;
+//   - 2·|x − d| < ulp, where ulp is the next float above b in bit order
+//     less b: x lies strictly nearer d than any other multiple of ulp,
+//     so each addition rounds to exactly sum + d. At a tie, round half
+//     to even would pick by the parity of the sum, which alternates.
+//     For a negative b this ulp is negative, for an infinite b NaN, so
+//     both fail, as a NaN input fails some comparison.
+func addN(b, x float64, n int) (float64, bool) {
+	d := (b + x) - b
+	r := b + float64(n)*d
+	bits := math.Float64bits(b)
+	ulp := math.Float64frombits(bits+1) - b
+	if math.Float64bits(r)>>52 == bits>>52 && d >= 0 && 2*math.Abs(x-d) < ulp {
+		return r, true
 	}
-	s.Rewards[i], *dst = rw, st
+	for ; n > 0; n-- {
+		b += x
+	}
+	return b, false
 }
 
 // EndBlock marks one block/epoch complete and releases withheld stake

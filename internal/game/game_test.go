@@ -81,30 +81,106 @@ func TestCreditZeroStakeDoesNotChangePower(t *testing.T) {
 }
 
 func TestCreditNMatchesRepeatedCredit(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	ulp := func(b float64) float64 { return math.Nextafter(b, math.Inf(1)) - b }
+	// Balances across exponents, zero and subnormal balances, and powers
+	// of two with the floats one step below and two steps above each.
+	// From two steps above, a credit of −1.4 ulps lands on the power of
+	// two after one addition and rounds past it in the next; negated, so
+	// does +1.4 ulps.
+	balances := []float64{0, math.Copysign(0, -1), 5e-324, 1e-310, 0x1p-1022,
+		1e-300, 1e-9, 0.01, 0.3, 0.7, 1, 1.5, 3.7, 1e10, 1e300, -0.3}
+	for _, p := range []float64{0x1p-1021, 0.5, 1, 2, 1024, 0x1p1000} {
+		above := p + 2*ulp(p)
+		balances = append(balances, p, math.Nextafter(p, 0), above, -above)
+	}
+	closed, cases := 0, 0
+	for _, b := range balances {
+		// Credits of every size, each side of b's half ulp: fig3's C-PoS
+		// shard reward, a whole reward, increments below half an ulp,
+		// exact half-ulp ties (where round-half-to-even alternates),
+		// negative credits going down to a power of two, and infinities.
+		u := ulp(math.Abs(b))
+		xs := []float64{0.01 / 32, 0.01, 0.37, 1e-17, 0.4 * u, 0.5 * u, 1.5 * u, 2.5 * u,
+			u, 3 * u, 1.4 * u, -1.4 * u, -0.6 * u, -0.3 * u, -0.01, 0, math.Inf(1), math.NaN()}
+		for _, x := range xs {
+			for _, n := range []int{0, 1, 2, 3, 7, 31, 32, 100, 1000} {
+				cases++
+				got, isClosed := addN(b, x, n)
+				want := b
+				for k := 0; k < n; k++ {
+					want += x
+				}
+				if !same(got, want) {
+					t.Errorf("balance %v (%#x), credit %v ×%d: addN gave %v (closed form %v), %d additions %v",
+						b, math.Float64bits(b), x, n, got, isClosed, n, want)
+				}
+				if isClosed {
+					closed++
+				}
+			}
+		}
+	}
+	if closed == 0 {
+		t.Fatalf("none of %d cases took the closed form", cases)
+	}
+	t.Logf("%d of %d cases took the closed form", closed, cases)
+
+	// Through State: fresh states and states started from balances
+	// across exponents, with every kind of stake balance.
 	for name, opts := range map[string][]Option{
 		"immediate":      nil,
 		"all-every-4":    {WithWithholding(4)},
 		"miner1-forever": {WithMinerWithholding(1, 0)},
 	} {
-		for _, stake := range []float64{0, 0.37} {
-			for _, n := range []int{0, 1, 7, 32} {
-				got, want := MustNew([]float64{0.3, 0.7}, opts...), MustNew([]float64{0.3, 0.7}, opts...)
-				for i := 0; i < 2; i++ {
-					got.CreditN(i, n, 0.01, stake)
-					for k := 0; k < n; k++ {
-						want.Credit(i, 0.01, stake)
-					}
-					if math.Float64bits(got.Rewards[i]) != math.Float64bits(want.Rewards[i]) ||
-						math.Float64bits(got.Stakes[i]) != math.Float64bits(want.Stakes[i]) ||
-						math.Float64bits(got.PendingStake(i)) != math.Float64bits(want.PendingStake(i)) {
-						t.Errorf("%s, stake %v, n %d, miner %d: CreditN gave (%v, %v, %v), Credit ×n (%v, %v, %v)",
-							name, stake, n, i, got.Rewards[i], got.Stakes[i], got.PendingStake(i),
-							want.Rewards[i], want.Stakes[i], want.PendingStake(i))
+		for _, start := range []float64{0, 0.3, 1, math.Nextafter(2, 0), 123.456} {
+			for _, stake := range []float64{0, 0.37, 0.01 / 32} {
+				for _, n := range []int{0, 1, 7, 32, 1000} {
+					got, want := MustNew([]float64{0.3, 0.7}, opts...), MustNew([]float64{0.3, 0.7}, opts...)
+					for i := 0; i < 2; i++ {
+						if start != 0 {
+							for _, s := range []*State{got, want} {
+								s.Rewards[i], s.Stakes[i], s.pending[i] = start, start, start/3
+							}
+						}
+						got.CreditN(i, n, 0.01, stake)
+						for k := 0; k < n; k++ {
+							want.Credit(i, 0.01, stake)
+						}
+						if !same(got.Rewards[i], want.Rewards[i]) || !same(got.Stakes[i], want.Stakes[i]) ||
+							!same(got.PendingStake(i), want.PendingStake(i)) {
+							t.Errorf("%s, start %v, stake %v, n %d, miner %d: CreditN gave (%v, %v, %v), Credit ×n (%v, %v, %v)",
+								name, start, stake, n, i, got.Rewards[i], got.Stakes[i], got.PendingStake(i),
+								want.Rewards[i], want.Stakes[i], want.PendingStake(i))
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzCreditN checks CreditN from any reward and stake balance s, for
+// any credit x and count n, against n calls of Credit.
+func FuzzCreditN(f *testing.F) {
+	f.Add(0.3, 0.01/32, uint16(32))
+	f.Add(1+0x1p-51, -1.4*0x1p-52, uint16(2)) // down onto a power of two
+	f.Add(1+0x1p-52, 0x1p-53, uint16(5))      // a half-ulp tie
+	f.Add(math.Nextafter(2, 0), 0x1p-52, uint16(3))
+	f.Add(5e-324, 5e-324, uint16(1000))
+	f.Fuzz(func(t *testing.T, s, x float64, n uint16) {
+		got, want := MustNew(TwoMiner(0.5)), MustNew(TwoMiner(0.5))
+		got.Rewards[0], got.Stakes[0] = s, s
+		want.Rewards[0], want.Stakes[0] = s, s
+		got.CreditN(0, int(n), x, x)
+		for k := 0; k < int(n); k++ {
+			want.Credit(0, x, x)
+		}
+		g, w := got.Rewards[0], want.Rewards[0]
+		if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(got.Stakes[0]) != math.Float64bits(want.Stakes[0]) {
+			t.Fatalf("balance %v, credit %v ×%d: CreditN gave %v, %d Credits %v", s, x, n, g, n, w)
+		}
+	})
 }
 
 func TestWithholdingReleasesAtBoundary(t *testing.T) {

@@ -58,10 +58,12 @@ func (CPoS) Name() string { return "C-PoS" }
 //     u = Float64()·total from one Uint64 and picks the same index, so the
 //     generator advances identically;
 //   - no draw reads st.Stakes, and every credit adds to its own miner's
-//     reward and stake (or withheld) balance, so making miner i's k wins
-//     as k consecutive additions (State.CreditN) and then her inflation
-//     credit performs, on each balance, the same additions in the same
-//     order as interleaving them shard by shard.
+//     reward and stake (or withheld) balance, so crediting miner i's k
+//     wins as k consecutive additions and then her inflation credit
+//     performs, on each balance, the same additions in the same order as
+//     interleaving them shard by shard. State.CreditN gives each balance
+//     the bits of those k additions, in closed form when it can prove
+//     them equal.
 func (p CPoS) Step(st *game.State, r *rng.Rand) {
 	m := st.NumMiners()
 	var sumsBuf [stackMiners]float64

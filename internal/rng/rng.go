@@ -182,6 +182,14 @@ func (r *Rand) Geometric(p float64) int64 {
 // draws from one weight vector, Cumulate it once and count the draws with
 // Tally: each draw picks what Categorical would, without re-validating
 // and re-summing.
+//
+// With u = Float64()·total, the draw is the first i whose running sum
+// weights[0] + … + weights[i] exceeds u. Running sums never decrease, so
+// when u < total that index is the number of running sums before the
+// last that are ≤ u, which the scan counts without an early exit, whose
+// branch depends on u and so mispredicts often. Otherwise (u ≥ total
+// through floating-point slack, or NaN from an infinite total) no running
+// sum exceeds u and the draw falls back to the last positive weight.
 func (r *Rand) Categorical(weights []float64) int {
 	total := 0.0
 	for i, w := range weights {
@@ -190,15 +198,20 @@ func (r *Rand) Categorical(weights []float64) int {
 	}
 	checkTotal(total)
 	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
+	if !(u < total) {
+		return lastPositive(weights)
 	}
-	// Floating-point slack: fall back to the last positive weight.
-	return lastPositive(weights)
+	i, acc := 0, 0.0
+	for _, w := range weights[:len(weights)-1] {
+		acc += w
+		// Not "if acc <= u { i++ }": that compiles to a jump.
+		b := 0
+		if acc <= u {
+			b = 1
+		}
+		i += b
+	}
+	return i
 }
 
 func checkWeight(i int, w float64) {
@@ -263,11 +276,13 @@ func Cumulate(buf, weights []float64) Cumulative {
 // n Uint64s and picks the same indices as n calls of
 // r.Categorical(weights); wins must have len(weights) entries.
 //
-// Categorical returns the first i whose running sum exceeds u. Running
-// sums never decrease, so when u < total that index is the number of
-// running sums before the last that are ≤ u, which Tally counts without a
-// data-dependent branch. Otherwise (u ≥ total, or NaN from an infinite
-// total) both fall back to the last positive weight.
+// Each draw's index is Categorical's count of the running sums before the
+// last that are ≤ u, or the last positive weight when !(u < total), and
+// Tally takes it without a data-dependent branch. For two weights it
+// counts only the index-1 draws, in a register, and adds to wins once:
+// a draw has index 1 exactly when !(u < weights[0]), fallbacks included,
+// unless weights[1] is zero, when weights[0] is the total and every such
+// draw is a fallback to index 0.
 func (r *Rand) Tally(c *Cumulative, n int, wins []int) {
 	r.s = tally(r.s, c, n, wins)
 }
@@ -278,6 +293,25 @@ func (r *Rand) Tally(c *Cumulative, n int, wins []int) {
 // from the first draw to the last.
 func tally(x xoshiro, c *Cumulative, n int, wins []int) xoshiro {
 	head, total, last := c.head, c.total, c.last
+	if len(head) == 1 && n > 0 {
+		h, ones := head[0], 0
+		for k := n; k > 0; k-- {
+			var out uint64
+			x, out = x.next()
+			u := float64(out>>11) / (1 << 53) * total // Float64() * total
+			b := 0
+			if !(u < h) { // true for NaN u, as the fallback needs
+				b = 1
+			}
+			ones += b
+		}
+		if last == 0 {
+			ones = 0
+		}
+		wins[0] += n - ones
+		wins[1] += ones
+		return x
+	}
 	for ; n > 0; n-- {
 		var out uint64
 		x, out = x.next()

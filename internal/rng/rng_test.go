@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -238,15 +239,46 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+// refCategorical is Categorical as it was first written: it returns the
+// first index whose running sum exceeds u, with an early exit, or falls
+// back to the last positive weight. Categorical and Tally count instead
+// of exiting early; both are checked draw for draw against it.
+func refCategorical(r *Rand, weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	u := r.Float64() * total
+	acc := 0.0
+	for i, w := range weights {
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	for i := len(weights) - 1; i >= 0; i-- {
+		if weights[i] > 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
 func TestTallyMatchesCategorical(t *testing.T) {
 	const tiny = 5e-324 // smallest subnormal
 	fixed := [][]float64{
 		{1},
+		{0, 1},                 // every draw has index 1
+		{1, 0},                 // and every draw index 0, fallbacks included
+		{1, math.Inf(1)},       // infinite total: u is +Inf, or NaN when Float64 is 0
+		{math.Inf(1), 1},       // a running sum equal to the infinite total
+		{math.Inf(1), 0},       // and a fallback to index 0
 		{0, 1, 2},              // zero weight first
 		{3, 0, 0, 1},           // zero weights in the middle
 		{1, 2, 0},              // zero weight last
 		{0, tiny, 0},           // subnormal total: u can round up to it
 		{tiny, tiny},           // and fall back to the last positive weight
+		{tiny, 0},              // or to the first
 		{tiny, 1e-310, 0, 0.5}, // subnormals below a normal weight
 		{1, math.Inf(1), 2},    // infinite total: every draw falls back
 		{1e300, 1e300, 0},      // large, with a zero after them
@@ -254,7 +286,11 @@ func TestTallyMatchesCategorical(t *testing.T) {
 	}
 	shapes := New(77)
 	for k := 0; k < 200; k++ {
-		w := make([]float64, 1+shapes.Intn(12))
+		m := 1 + shapes.Intn(12)
+		if k%10 == 0 {
+			m = 17 // more miners than a protocol step keeps on its stack
+		}
+		w := make([]float64, m)
 		for i := range w {
 			switch shapes.Intn(5) {
 			case 0:
@@ -268,40 +304,103 @@ func TestTallyMatchesCategorical(t *testing.T) {
 		w[shapes.Intn(len(w))] += 0.1 // a positive total
 		fixed = append(fixed, w)
 	}
-	buf := make([]float64, 12)
+	// zeroFirst's first output is 0, so that Float64 is 0 and u = 0·total,
+	// NaN for an infinite total: a draw no seed here reaches.
+	zeroFirst := func() *Rand { return &Rand{s: xoshiro{0, 1, 2, 0}} }
+	buf := make([]float64, 17)
 	for k, w := range fixed {
 		seed := uint64(k + 1)
 		c := Cumulate(buf, w)
-		// One draw per Tally, compared draw by draw.
-		got, want := New(seed), New(seed)
 		wins := make([]int, len(w))
-		for d := 0; d < 500; d++ {
-			clear(wins)
-			got.Tally(&c, 1, wins)
-			wt := want.Categorical(w)
-			if wins[wt] != 1 {
-				t.Fatalf("weights %v, draw %d: Tally counted %v, Categorical = %d", w, d, wins, wt)
+		// Categorical, and Tally one draw at a time, against the
+		// early-exit scan, draw by draw.
+		for _, gen := range []func() *Rand{func() *Rand { return New(seed) }, zeroFirst} {
+			cat, tal, want := gen(), gen(), gen()
+			for d := 0; d < 500; d++ {
+				wt := refCategorical(want, w)
+				if g := cat.Categorical(w); g != wt {
+					t.Fatalf("weights %v, draw %d: Categorical = %d, early-exit scan %d", w, d, g, wt)
+				}
+				clear(wins)
+				tal.Tally(&c, 1, wins)
+				if wins[wt] != 1 {
+					t.Fatalf("weights %v, draw %d: Tally counted %v, early-exit scan %d", w, d, wins, wt)
+				}
+			}
+			if cat.s != want.s || tal.s != want.s {
+				t.Fatalf("weights %v: generators diverged after single draws", w)
 			}
 		}
-		if got.Uint64() != want.Uint64() {
-			t.Fatalf("weights %v: generators diverged after single draws", w)
-		}
-		// Whole epochs, compared with counted Categorical draws.
-		for _, n := range []int{32, 65, 500} {
+		// Whole epochs against counted early-exit draws, added to counts
+		// already in wins.
+		for _, n := range []int{0, 32, 65, 500} {
 			got, want := New(seed), New(seed)
 			wins, counts := make([]int, len(w)), make([]int, len(w))
+			for i := range wins {
+				wins[i], counts[i] = i, i
+			}
 			got.Tally(&c, n, wins)
 			for d := 0; d < n; d++ {
-				counts[want.Categorical(w)]++
+				counts[refCategorical(want, w)]++
 			}
 			if !slices.Equal(wins, counts) {
-				t.Fatalf("weights %v, %d draws: Tally counted %v, Categorical %v", w, n, wins, counts)
+				t.Fatalf("weights %v, %d draws: Tally counted %v, early-exit scan %v", w, n, wins, counts)
 			}
-			if got.Uint64() != want.Uint64() {
+			if got.s != want.s {
 				t.Fatalf("weights %v: generators diverged after %d draws", w, n)
 			}
 		}
 	}
+}
+
+// FuzzTally checks Tally against n early-exit draws for 1–17 weights read
+// as float64 bits, 8 bytes each, with the sign cleared and NaN read as
+// +Inf, so that zero, subnormal and infinite weights all occur.
+func FuzzTally(f *testing.F) {
+	le := func(ws ...float64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+		return b
+	}
+	f.Add(le(0.2, 0.8), uint16(32), uint64(1))
+	f.Add(le(0, 1), uint16(32), uint64(2))
+	f.Add(le(1, 0), uint16(65), uint64(3))
+	f.Add(le(1, math.Inf(1)), uint16(500), uint64(4))
+	f.Add(le(5e-324, 5e-324), uint16(500), uint64(5))
+	f.Add(le(1, 2, 0, 3, 5e-324, 1e300), uint16(100), uint64(6))
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, seed uint64) {
+		m := min(len(data)/8, 17)
+		if m == 0 {
+			t.Skip()
+		}
+		w := make([]float64, m)
+		total := 0.0
+		for i := range w {
+			w[i] = math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
+			if math.IsNaN(w[i]) {
+				w[i] = math.Inf(1)
+			}
+			total += w[i]
+		}
+		if total == 0 {
+			t.Skip() // Cumulate panics, as Categorical does
+		}
+		c := Cumulate(make([]float64, m), w)
+		got, want := New(seed), New(seed)
+		wins, counts := make([]int, m), make([]int, m)
+		got.Tally(&c, int(n), wins)
+		for d := 0; d < int(n); d++ {
+			counts[refCategorical(want, w)]++
+		}
+		if !slices.Equal(wins, counts) {
+			t.Fatalf("weights %v, %d draws: Tally counted %v, early-exit scan %v", w, n, wins, counts)
+		}
+		if got.s != want.s {
+			t.Fatalf("weights %v, %d draws: generator state %v, want %v", w, n, got.s, want.s)
+		}
+	})
 }
 
 func TestCumulatePanicsLikeCategorical(t *testing.T) {
