@@ -409,12 +409,13 @@ func progressPrinter(w io.Writer, metrics *fairness.MetricsRegistry, tr *fairnes
 // clusterView is a coordinator's progress as its fairness_cluster_*
 // counters and its coordinator spans tell it: the open sweep span
 // carries the run's unique work-item count, open dispatch spans are the
-// shards in flight, and the run is done once its sweep span has ended.
+// shards in flight (claimed = merged + in flight + requeued), and the
+// run is done once its sweep span has ended.
 type clusterView struct {
-	delivered, total, localHits       int
-	claimed, acked, requeued, workers int
-	done                              bool
-	shards                            []fairness.SpanRecord
+	delivered, total, localHits int
+	claimed, requeued, workers  int
+	done                        bool
+	shards                      []fairness.SpanRecord
 }
 
 func newClusterView(series map[string]float64, open, spans []fairness.SpanRecord) clusterView {
@@ -422,7 +423,6 @@ func newClusterView(series map[string]float64, open, spans []fairness.SpanRecord
 		delivered: int(series["fairness_cluster_delivered_total"]),
 		localHits: int(series["fairness_cluster_local_cache_hits_total"]),
 		claimed:   int(series["fairness_cluster_shards_claimed_total"]),
-		acked:     int(series["fairness_cluster_shards_acked_total"]),
 		requeued:  int(series["fairness_cluster_shards_requeued_total"]),
 		workers:   int(series["fairness_cluster_workers"]),
 	}
@@ -451,8 +451,8 @@ func newClusterView(series map[string]float64, open, spans []fairness.SpanRecord
 }
 
 func (v clusterView) String() string {
-	return fmt.Sprintf("%d/%d delivered · %d local cache hits · shards %d claimed / %d acked / %d requeued · %d workers",
-		v.delivered, v.total, v.localHits, v.claimed, v.acked, v.requeued, v.workers)
+	return fmt.Sprintf("%d/%d delivered · %d local cache hits · shards %d claimed / %d in flight / %d requeued · %d workers",
+		v.delivered, v.total, v.localHits, v.claimed, len(v.shards), v.requeued, v.workers)
 }
 
 // tracesBody is the part of a GET /v1/traces response fairctl reads.
@@ -548,8 +548,8 @@ func watchTick(ctx context.Context, coord string, pool []string) bool {
 			fmt.Fprintf(stdout, "[%s] worker %s: %s\n", now, h.URL, h.Error)
 			continue
 		}
-		fmt.Fprintf(stdout, "[%s] worker %s: %d in-flight · %d done · %d acked · %d streamed · %.2f scenarios/s\n",
-			now, h.URL, h.ShardsInFlight, h.ShardsDone, h.ShardsAcked, h.OutcomesStreamed, h.ScenariosPerSec)
+		fmt.Fprintf(stdout, "[%s] worker %s: %d in-flight · %d done · %d streamed · %.2f scenarios/s\n",
+			now, h.URL, h.ShardsInFlight, h.ShardsDone, h.OutcomesStreamed, h.ScenariosPerSec)
 		var tr tracesBody
 		if err := getJSON(ctx, h.URL+"/v1/traces", &tr); err != nil {
 			fmt.Fprintf(stdout, "    %v\n", err)
@@ -603,7 +603,7 @@ func statusCmd(args []string) error {
 		fmt.Fprintf(stdout, "%s\n", data)
 		return nil
 	}
-	tb := table.New("Worker", "Status", "Backend", "Cache", "In-flight", "Done", "Acked", "Streamed", "Scen/s", "Uptime(s)").
+	tb := table.New("Worker", "Status", "Backend", "Cache", "In-flight", "Done", "Streamed", "Scen/s", "Uptime(s)").
 		AlignAll(table.Right).SetAlign(0, table.Left).SetAlign(1, table.Left)
 	up := 0
 	for _, h := range health {
@@ -615,7 +615,7 @@ func statusCmd(args []string) error {
 		}
 		tb.AddRow(h.URL, status, h.Backend, h.Cache,
 			fmt.Sprintf("%d", h.ShardsInFlight), fmt.Sprintf("%d", h.ShardsDone),
-			fmt.Sprintf("%d", h.ShardsAcked), fmt.Sprintf("%d", h.OutcomesStreamed),
+			fmt.Sprintf("%d", h.OutcomesStreamed),
 			fmt.Sprintf("%.2f", h.ScenariosPerSec),
 			fmt.Sprintf("%.0f", float64(h.UptimeMS)/1000))
 	}

@@ -44,7 +44,7 @@ func startRunWorker(t *testing.T, run cluster.RunFunc) *httptest.Server {
 		json.NewEncoder(w).Encode(map[string]any{
 			"status": "ok", "backend": "montecarlo", "cache": "none",
 			"shards_in_flight": ws.InFlight(), "shards_done": ws.Done(),
-			"shards_acked": ws.Acked(), "outcomes_streamed": ws.Streamed(),
+			"outcomes_streamed": ws.Streamed(),
 			"scenarios_per_sec": ws.Rate(),
 		})
 	})
@@ -284,7 +284,7 @@ func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {
 	// A live coordinator over two workers, caught mid-run: each worker
 	// streams its shard's first outcome and then holds the rest until
 	// release. watch -once must render the delivered/total count, the
-	// in-flight shards and both workers.
+	// in-flight shards (counted and one row each) and both workers.
 	release := make(chan struct{})
 	held := func(ctx context.Context, specs []scenario.Spec, on func(sweep.Outcome)) (sweep.Stats, error) {
 		first := true
@@ -339,7 +339,7 @@ func TestWatchRendersWorkerAndCoordinatorProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"running · 2/4 delivered", "shards 2 claimed", "2 workers",
+	want := []string{"running · 2/4 delivered", "shards 2 claimed / 2 in flight", "2 workers",
 		"worker " + w1.URL + ": 1 in-flight", "worker " + w2.URL + ": 1 in-flight", "2 scenarios, streaming"}
 	for _, s := range tr.Snapshot("").Open {
 		if s.Name == "dispatch" {

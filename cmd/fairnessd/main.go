@@ -17,7 +17,6 @@
 //	POST /v1/shard     cluster work item (internal/cluster): claim a
 //	                   shard of scenarios, stream its outcomes as NDJSON,
 //	                   finish with a {"done":true,"shard_id":...} summary.
-//	POST /v1/shard/ack coordinator confirmation that a shard was merged.
 //	GET  /v1/healthz   → {"status":"ok",...} with backend, cache hit/miss
 //	                   counters, shard counters and the measured
 //	                   scenarios/sec — everything a coordinator or load
@@ -502,7 +501,7 @@ func (s *server) mux() *http.ServeMux {
 	if s.pprof {
 		telemetry.RegisterPprof(mux)
 	}
-	s.shards.Register(mux) // /v1/shard, /v1/shard/ack
+	s.shards.Register(mux) // /v1/shard
 	if s.jobsAPI != nil {
 		s.jobsAPI.Register(mux) // /v1/jobs...
 	}
@@ -660,10 +659,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ShardsClaimed    int64                 `json:"shards_claimed"`
 		ShardsInFlight   int64                 `json:"shards_in_flight"`
 		ShardsDone       int64                 `json:"shards_done"`
-		ShardsAcked      int64                 `json:"shards_acked"`
 		OutcomesStreamed int64                 `json:"outcomes_streamed"`
 		ScenariosPerSec  float64               `json:"scenarios_per_sec"`
-		PendingAcks      int                   `json:"pending_acks"`
 		UptimeMS         int64                 `json:"uptime_ms"`
 		GoMaxProcs       int                   `json:"gomaxprocs"`
 	}
@@ -678,10 +675,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ShardsClaimed:    s.shards.Claimed(),
 		ShardsInFlight:   s.shards.InFlight(),
 		ShardsDone:       s.shards.Done(),
-		ShardsAcked:      s.shards.Acked(),
 		OutcomesStreamed: s.shards.Streamed(),
 		ScenariosPerSec:  s.shards.Rate(),
-		PendingAcks:      s.shards.PendingAcks(),
 		UptimeMS:         time.Since(s.start).Milliseconds(),
 		GoMaxProcs:       runtime.GOMAXPROCS(0),
 	}

@@ -323,8 +323,7 @@ func TestDiskCacheSharedAcrossDaemonRestarts(t *testing.T) {
 
 func TestShardEndpointClaimStreamAckAndHealthzCounters(t *testing.T) {
 	// The worker-node face of cluster mode: claim a shard, count the
-	// streamed outcomes, then check the healthz placement counters and
-	// the ack handshake.
+	// streamed outcomes, then check the healthz placement counters.
 	_, ts := testServer(t, config{cacheCap: 16})
 	shard := `{"shard_id":"deadbeef","scenarios":[
 		{"protocol":"pow","stake":0.2,"blocks":100,"trials":10,"seed":4},
@@ -361,9 +360,9 @@ func TestShardEndpointClaimStreamAckAndHealthzCounters(t *testing.T) {
 	}
 
 	var h struct {
+		ShardsClaimed  int64 `json:"shards_claimed"`
 		ShardsInFlight int64 `json:"shards_in_flight"`
 		ShardsDone     int64 `json:"shards_done"`
-		PendingAcks    int   `json:"pending_acks"`
 	}
 	hr, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
@@ -373,24 +372,8 @@ func TestShardEndpointClaimStreamAckAndHealthzCounters(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.ShardsInFlight != 0 || h.ShardsDone != 1 || h.PendingAcks != 1 {
+	if h.ShardsClaimed != 1 || h.ShardsInFlight != 0 || h.ShardsDone != 1 {
 		t.Errorf("healthz shard counters: %+v", h)
-	}
-
-	ack, err := http.Post(ts.URL+"/v1/shard/ack", "application/json",
-		strings.NewReader(`{"shard_id":"deadbeef"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ack.Body.Close()
-	var acked struct {
-		Acked bool `json:"acked"`
-	}
-	if err := json.NewDecoder(ack.Body).Decode(&acked); err != nil {
-		t.Fatal(err)
-	}
-	if !acked.Acked {
-		t.Error("ack of a completed shard reported acked=false")
 	}
 }
 

@@ -255,8 +255,8 @@ type (
 	// serves, and writes each span as NDJSON span_start/span_end events
 	// when built with a writer. An engine's spans are a sweep span with
 	// one scenario span per unique scenario (cache state on its end),
-	// and in cluster mode the shard lifecycle as dispatch spans (claims,
-	// acks, requeues, quarantines).
+	// and in cluster mode the shard lifecycle as dispatch spans (one per
+	// claim, ending merged or requeued, with any quarantine).
 	Tracer = telemetry.Tracer
 	// SpanContext identifies one span in one distributed trace — the
 	// value the X-Fairness-Trace header carries across process hops.
@@ -293,8 +293,8 @@ var (
 
 // ClusterStatus probes every worker's /v1/healthz concurrently — the
 // placement/diagnostics view fairctl status renders, including the
-// per-worker shard counters (claimed/streamed/acked) and measured
-// scenarios/sec behind adaptive shard sizing.
+// per-worker shard counters (claimed/in flight/done/streamed) and
+// measured scenarios/sec behind adaptive shard sizing.
 func ClusterStatus(ctx context.Context, workers []string) []ClusterHealth {
 	return cluster.Status(ctx, workers, nil, 0)
 }

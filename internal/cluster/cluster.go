@@ -53,9 +53,9 @@ const (
 	// defaultTargetShardTime is the adaptive-sizing target: each shard
 	// should keep its worker busy for about this long.
 	defaultTargetShardTime = 1500 * time.Millisecond
-	// defaultMaxShardSize caps adaptive shards; very fast (or cache-hot)
+	// maxShardSize caps adaptive shards; very fast (or cache-hot)
 	// workers batch up to this many scenarios per claim.
-	defaultMaxShardSize = 128
+	maxShardSize = 128
 	// defaultLeaseTTL bounds stream inactivity per claimed shard: a
 	// worker that streams nothing for this long loses the shard.
 	defaultLeaseTTL = 5 * time.Minute
@@ -99,10 +99,8 @@ type Options struct {
 	// workers get batched claims.
 	ShardSize int
 	// TargetShardTime is the adaptive-sizing wall-time target per shard
-	// (0 = 1.5s).
+	// (0 = 1.5s). Adaptive shards hold at most 128 work items.
 	TargetShardTime time.Duration
-	// MaxShardSize caps adaptive shards (0 = 128).
-	MaxShardSize int
 	// MaxAttempts caps how many times one work item is tried before the
 	// run fails (0 = 3). Attempts may land on different workers.
 	MaxAttempts int
@@ -112,13 +110,10 @@ type Options struct {
 	// off.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// ProbeTimeout bounds each /v1/healthz liveness probe (0 = 5s). It
-	// is deliberately independent of AckTimeout: liveness probes answer
-	// "is this worker alive?", and a worker slow under load must not be
-	// declared dead just because fast-path requests are impatient.
+	// ProbeTimeout bounds each /v1/healthz liveness probe (0 = 5s).
+	// Liveness probes answer "is this worker alive?", so a worker slow
+	// under load but answering within it is never declared dead.
 	ProbeTimeout time.Duration
-	// AckTimeout bounds shard-ack posts (0 = 2s).
-	AckTimeout time.Duration
 	// LeaseTTL is each claimed shard's stream-inactivity lease, renewed
 	// by every outcome line (0 = 5m). When it expires the claim is cut,
 	// the undelivered remainder re-enters the queue, and the stalled
@@ -168,8 +163,8 @@ type Options struct {
 // Acquire blocks until the caller may dispatch up to granted work items
 // (1 <= granted <= want), the gate is closed for this run (granted 0),
 // or ctx is cancelled. The returned release must be called exactly once
-// when the granted items are no longer in flight — after the shard is
-// merged and acked, or after its remainder is requeued.
+// when the granted items are no longer in flight — as soon as the
+// shard's summary line is merged, or after its remainder is requeued.
 type DispatchGate interface {
 	Acquire(ctx context.Context, want int) (granted int, release func(), err error)
 }
@@ -188,7 +183,6 @@ type Health struct {
 	ShardsClaimed    int64   `json:"shards_claimed"`
 	ShardsInFlight   int64   `json:"shards_in_flight"`
 	ShardsDone       int64   `json:"shards_done"`
-	ShardsAcked      int64   `json:"shards_acked"`
 	OutcomesStreamed int64   `json:"outcomes_streamed"`
 	ScenariosPerSec  float64 `json:"scenarios_per_sec"`
 	UptimeMS         int64   `json:"uptime_ms"`
@@ -521,11 +515,10 @@ func (c *Coordinator) Run(ctx context.Context, specs []scenario.Spec,
 			labels:       shardLabels(bag),
 			registryMode: c.registryMode,
 			maxAttempts:  valueOr(opts.MaxAttempts, 3),
-			backoffBase:  durationOr(opts.BackoffBase, 100*time.Millisecond),
-			backoffMax:   durationOr(opts.BackoffMax, 2*time.Second),
-			probeTimeout: durationOr(opts.ProbeTimeout, 5*time.Second),
-			ackTimeout:   durationOr(opts.AckTimeout, 2*time.Second),
-			lease:        durationOr(opts.LeaseTTL, defaultLeaseTTL),
+			backoffBase:  valueOr(opts.BackoffBase, 100*time.Millisecond),
+			backoffMax:   valueOr(opts.BackoffMax, 2*time.Second),
+			probeTimeout: valueOr(opts.ProbeTimeout, 5*time.Second),
+			lease:        valueOr(opts.LeaseTTL, defaultLeaseTTL),
 			client:       c.client,
 			deliver:      deliver,
 			isDelivered: func(h string) bool {
@@ -587,16 +580,15 @@ func (c *Coordinator) Run(ctx context.Context, specs []scenario.Spec,
 // worker already exposes them. A nil registry yields detached handles, so an
 // uninstrumented run pays only uncontended atomic adds.
 type meters struct {
-	claimed, acked, requeued *telemetry.Counter
-	streamed, delivered      *telemetry.Counter
-	rejected, localHits      *telemetry.Counter
-	workers                  *telemetry.Gauge
+	claimed, requeued   *telemetry.Counter
+	streamed, delivered *telemetry.Counter
+	rejected, localHits *telemetry.Counter
+	workers             *telemetry.Gauge
 }
 
 func newMeters(m *telemetry.Registry) *meters {
 	return &meters{
 		claimed:   m.Counter("fairness_cluster_shards_claimed_total"),
-		acked:     m.Counter("fairness_cluster_shards_acked_total"),
 		requeued:  m.Counter("fairness_cluster_shards_requeued_total"),
 		streamed:  m.Counter("fairness_cluster_outcomes_streamed_total"),
 		delivered: m.Counter("fairness_cluster_delivered_total"),
@@ -622,15 +614,8 @@ func shardLabels(bag map[string]string) map[string]string {
 	return out
 }
 
-// valueOr and durationOr resolve zero-means-default knobs.
-func valueOr(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
-func durationOr(v, def time.Duration) time.Duration {
+// valueOr resolves a zero-means-default knob.
+func valueOr[T int | time.Duration](v, def T) T {
 	if v <= 0 {
 		return def
 	}
@@ -653,7 +638,6 @@ type clusterRun struct {
 	backoffBase  time.Duration
 	backoffMax   time.Duration
 	probeTimeout time.Duration
-	ackTimeout   time.Duration
 	lease        time.Duration
 	client       *http.Client
 	deliver      func(h string, base sweep.Outcome, hit bool) bool
@@ -863,8 +847,7 @@ func (s *sched) shardSizeFor(url string) int {
 		return s.opts.ShardSize
 	}
 	return adaptiveShardSize(s.reg.Rate(url),
-		durationOr(s.opts.TargetShardTime, defaultTargetShardTime),
-		valueOr(s.opts.MaxShardSize, defaultMaxShardSize))
+		valueOr(s.opts.TargetShardTime, defaultTargetShardTime), maxShardSize)
 }
 
 // workerLoop is one worker's claim cycle: cut a shard off the queue,
@@ -951,9 +934,7 @@ func (s *sched) workerLoop(url string) {
 			s.reg.ObserveRate(url, len(batch), time.Since(start))
 			s.opts.Metrics.Gauge("fairness_cluster_worker_rate", "worker", url).Set(s.reg.Rate(url))
 			s.run.addTrials(sum.TrialsRun)
-			ackShard(s.run.client, url, t.id, s.run.ackTimeout)
-			s.run.met.acked.Inc()
-			dsp.End("status", "acked", "trials", sum.TrialsRun)
+			dsp.End("status", "merged", "trials", sum.TrialsRun)
 			s.mu.Lock()
 			s.outstanding -= n
 			s.mu.Unlock()
@@ -1180,23 +1161,4 @@ func checkOutcome(o sweep.Outcome, backend string) error {
 		return fmt.Errorf("%w: %.12s carries a spec that hashes to %.12s", errBadOutcome, o.Hash, h)
 	}
 	return nil
-}
-
-// ackShard tells the worker its shard was merged; best-effort.
-func ackShard(client *http.Client, url, shardID string, timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	body, _ := json.Marshal(map[string]string{"shard_id": shardID})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/shard/ack", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := client.Do(req); err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
-	}
 }

@@ -18,7 +18,7 @@ import (
 
 // stallingWorker speaks the real shard protocol but, on its first
 // claim, streams exactly one genuine outcome and then goes silent
-// without ever finishing the shard or acking — a worker that is alive
+// without ever finishing the shard — a worker that is alive
 // (healthz keeps answering) but stuck. The coordinator's shard lease
 // must expire, requeue the REMAINDER onto another worker, and keep the
 // one streamed outcome without re-evaluating it.
@@ -291,8 +291,7 @@ func TestClusterRegistrationDuringScanWakesSupervisor(t *testing.T) {
 func TestClusterSlowHealthzWorkerIsNotDeclaredDead(t *testing.T) {
 	// Regression for the probe-vs-claim timeout conflation: a worker
 	// whose healthz answers slowly — but well inside ProbeTimeout — must
-	// survive the post-failure liveness check even when the fast-path
-	// AckTimeout is much tighter than its healthz latency.
+	// survive the post-failure liveness check.
 	specs := testGrid(t)
 	local, err := sweep.Run(specs, sweep.Options{})
 	if err != nil {
@@ -325,7 +324,6 @@ func TestClusterSlowHealthzWorkerIsNotDeclaredDead(t *testing.T) {
 
 	rep, err := Run(context.Background(), specs, Options{
 		Workers:      []string{srv.URL}, // the ONLY worker: dropping it fails the run
-		AckTimeout:   20 * time.Millisecond,
 		ProbeTimeout: 2 * time.Second,
 		BackoffBase:  time.Millisecond,
 	})

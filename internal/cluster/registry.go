@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -417,23 +418,23 @@ func (rg *Registrar) register(ctx context.Context) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := rg.post(ctx, "/v1/register", body)
+	status, reply, err := rg.post(ctx, "/v1/register", body)
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("register status %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return 0, fmt.Errorf("register status %d", status)
 	}
 	var rr registerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+	if err := json.Unmarshal(reply, &rr); err != nil {
 		return 0, err
 	}
 	return time.Duration(rr.HeartbeatMS) * time.Millisecond, nil
 }
 
-// post issues one registration-protocol request with a bounded timeout.
-func (rg *Registrar) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
+// post issues one registration-protocol request with a bounded timeout
+// and returns the reply's status and body, read within that timeout.
+func (rg *Registrar) post(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	client := rg.Client
 	if client == nil {
 		client = http.DefaultClient
@@ -443,10 +444,16 @@ func (rg *Registrar) post(ctx context.Context, path string, body []byte) (*http.
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost,
 		NormalizeWorkerURL(rg.Coordinator)+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return client.Do(req) //nolint:bodyclose // closed by callers
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxRegistryBodySize))
+	return resp.StatusCode, reply, err
 }
 
 // Run registers, heartbeats until ctx ends, then deregisters
@@ -490,9 +497,7 @@ func (rg *Registrar) deregister() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if resp, err := rg.post(ctx, "/v1/deregister", body); err == nil {
-		resp.Body.Close()
-	} else if rg.OnError != nil {
+	if _, _, err := rg.post(ctx, "/v1/deregister", body); err != nil && rg.OnError != nil {
 		rg.OnError(err)
 	}
 }

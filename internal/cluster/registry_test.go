@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -327,6 +328,27 @@ func TestRegistrarShutdownMidBeatLeavesNoMember(t *testing.T) {
 	}
 	if live := reg.Live(); len(live) != 0 {
 		t.Errorf("worker live after its registrar returned: %+v", live)
+	}
+}
+
+func TestRegistrarReadsAReplyThatArrivesAfterItsHeaders(t *testing.T) {
+	// A coordinator may flush the reply's headers before its body. The
+	// registrar must still read the body, and so the suggested heartbeat,
+	// within its request's timeout.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond)
+		io.WriteString(w, `{"ttl_ms":15000,"heartbeat_ms":5000}`)
+	}))
+	t.Cleanup(ts.Close)
+	rg := &Registrar{Coordinator: ts.URL, Self: "http://worker:7447"}
+	for i := range 3 {
+		got, err := rg.register(context.Background())
+		if err != nil || got != 5*time.Second {
+			t.Errorf("beat %d: suggested heartbeat %v, err %v; want 5s", i+1, got, err)
+		}
 	}
 }
 

@@ -111,8 +111,8 @@ func TestClusterTracePropagatesAcrossWorkers(t *testing.T) {
 		if d.ParentID != sweeps[0].SpanID {
 			t.Errorf("dispatch %s parented on %q, want the sweep span", d.SpanID, d.ParentID)
 		}
-		if d.Attrs["status"] != "acked" {
-			t.Errorf("dispatch %s status %q, want acked", d.SpanID, d.Attrs["status"])
+		if d.Attrs["status"] != "merged" {
+			t.Errorf("dispatch %s status %q, want merged", d.SpanID, d.Attrs["status"])
 		}
 		dispatchIDs[d.SpanID] = true
 	}
@@ -199,7 +199,7 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 	if len(dispatches) < 2 {
 		t.Fatalf("%d dispatch spans, want at least the torn attempt plus its requeue", len(dispatches))
 	}
-	var requeued, acked int
+	var requeued, merged int
 	seenIDs := make(map[string]bool)
 	for _, d := range dispatches {
 		if d.TraceID != traceID {
@@ -212,14 +212,14 @@ func TestClusterTornStreamRequeueTraceSemantics(t *testing.T) {
 		switch d.Attrs["status"] {
 		case "requeued":
 			requeued++
-		case "acked":
-			acked++
+		case "merged":
+			merged++
 		}
 	}
 	if requeued == 0 {
 		t.Error("no dispatch span recorded the torn/requeued attempt")
 	}
-	if acked == 0 {
+	if merged == 0 {
 		t.Error("no dispatch span recorded a successful attempt")
 	}
 

@@ -19,9 +19,7 @@
 //	                    the worker registers the shard in flight and
 //	                    streams one NDJSON outcome per scenario, then a
 //	                    summary line {"done":true,"shard_id":...}.
-//	POST /v1/shard/ack  {"shard_id":"..."} — ack: the coordinator
-//	                    confirms it merged the shard; the worker drops
-//	                    it from its pending table.
+//	                    Nothing follows the merged stream.
 //	GET  /v1/healthz    liveness plus backend, cache counters, shard
 //	                    counters and measured scenarios/sec, used for
 //	                    placement and failure detection.
@@ -45,7 +43,6 @@ import (
 	"math"
 	"net/http"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,7 +91,7 @@ type shardRequest struct {
 }
 
 // shardSummary is the trailing NDJSON line of a shard stream: the
-// worker-side ack that every scenario of the shard was answered.
+// worker's confirmation that every scenario of the shard was answered.
 type shardSummary struct {
 	Done      bool    `json:"done"`
 	ShardID   string  `json:"shard_id"`
@@ -131,15 +128,11 @@ func NewHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-// maxPendingShards caps the completed-but-unacked table so a coordinator
-// that never acks cannot grow worker memory without bound.
-const maxPendingShards = 1024
-
 // WorkerServer is the worker-node side of the cluster protocol: it
-// mounts the /v1/shard claim/stream and /v1/shard/ack endpoints over any
-// sweep pipeline (a fairnessd Engine, or a bare LocalRunner) and tracks
-// the shard counters and throughput EWMA that health endpoints and
-// registration heartbeats report.
+// mounts the /v1/shard claim/stream endpoint over any sweep pipeline
+// (a fairnessd Engine, or a bare LocalRunner) and tracks the shard
+// counters and throughput EWMA that health endpoints and registration
+// heartbeats report.
 //
 // The shard counters live on telemetry handles — the same storage a
 // /metrics endpoint scrapes — so healthz and Prometheus exposition can
@@ -150,7 +143,6 @@ type WorkerServer struct {
 	run      RunFunc
 	claimed  *telemetry.Counter // fairness_worker_shards_claimed_total
 	done     *telemetry.Counter // fairness_worker_shards_done_total
-	acked    *telemetry.Counter // fairness_worker_shards_acked_total
 	streamed *telemetry.Counter // fairness_worker_outcomes_streamed_total
 	inFlight *telemetry.Gauge   // fairness_worker_shards_in_flight
 	rate     *telemetry.Gauge   // fairness_worker_scenarios_per_sec
@@ -161,9 +153,6 @@ type WorkerServer struct {
 	// TraceHeader.
 	backend string
 	tracer  *telemetry.Tracer
-
-	mu      sync.Mutex
-	pending map[string]time.Time // completed shards awaiting coordinator ack
 }
 
 // NewWorkerServer builds a worker server over the given shard runner
@@ -181,11 +170,9 @@ func NewWorkerServerWithMetrics(run RunFunc, m *telemetry.Registry) *WorkerServe
 		run:      run,
 		claimed:  m.Counter("fairness_worker_shards_claimed_total"),
 		done:     m.Counter("fairness_worker_shards_done_total"),
-		acked:    m.Counter("fairness_worker_shards_acked_total"),
 		streamed: m.Counter("fairness_worker_outcomes_streamed_total"),
 		inFlight: m.Gauge("fairness_worker_shards_in_flight"),
 		rate:     m.Gauge("fairness_worker_scenarios_per_sec"),
-		pending:  make(map[string]time.Time),
 	}
 }
 
@@ -199,10 +186,9 @@ func (s *WorkerServer) SetTelemetry(backend string, tr *telemetry.Tracer) {
 	s.backend, s.tracer = backend, tr
 }
 
-// Register mounts the shard endpoints on mux.
+// Register mounts the shard endpoint on mux.
 func (s *WorkerServer) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
-	mux.HandleFunc("POST /v1/shard/ack", s.handleAck)
 }
 
 // InFlight returns the number of shards currently being evaluated.
@@ -213,9 +199,6 @@ func (s *WorkerServer) Done() int64 { return s.done.Value() }
 
 // Claimed returns the number of shard claims accepted since startup.
 func (s *WorkerServer) Claimed() int64 { return s.claimed.Value() }
-
-// Acked returns the number of shards the coordinator confirmed merging.
-func (s *WorkerServer) Acked() int64 { return s.acked.Value() }
 
 // Streamed returns the number of outcome lines streamed since startup.
 func (s *WorkerServer) Streamed() int64 { return s.streamed.Value() }
@@ -245,30 +228,6 @@ func (s *WorkerServer) observeRate(scenarios int, wall time.Duration) {
 			return
 		}
 	}
-}
-
-// PendingAcks returns the number of completed shards not yet acked.
-func (s *WorkerServer) PendingAcks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
-// recordPending marks a completed shard as awaiting ack, evicting the
-// oldest entry when the table is full.
-func (s *WorkerServer) recordPending(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pending) >= maxPendingShards {
-		oldestID, oldest := "", time.Time{}
-		for k, at := range s.pending {
-			if oldest.IsZero() || at.Before(oldest) {
-				oldestID, oldest = k, at
-			}
-		}
-		delete(s.pending, oldestID)
-	}
-	s.pending[id] = time.Now()
 }
 
 // handleShard is the claim+stream exchange: it validates the shard,
@@ -383,31 +342,9 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		sum.Done = true
 		s.done.Inc()
 		s.observeRate(len(req.Scenarios), time.Since(start))
-		s.recordPending(req.ShardID)
 		eval.End("status", "done", "streamed", streamed, "trials", stats.TrialsRun)
 	}
 	enc.Encode(sum)
-}
-
-// handleAck drops an acked shard from the pending table. Acking an
-// unknown shard is not an error — acks are best-effort and idempotent.
-func (s *WorkerServer) handleAck(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ShardID string `json:"shard_id"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		shardError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	_, known := s.pending[req.ShardID]
-	delete(s.pending, req.ShardID)
-	s.mu.Unlock()
-	if known {
-		s.acked.Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]bool{"acked": known})
 }
 
 // shardError writes a JSON error with the given status — the pre-stream

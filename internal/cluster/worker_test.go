@@ -72,29 +72,8 @@ func TestWorkerShardClaimStreamAck(t *testing.T) {
 	if sum.TrialsRun != 10 {
 		t.Errorf("summary trials = %d", sum.TrialsRun)
 	}
-	if ws.Done() != 1 || ws.InFlight() != 0 || ws.PendingAcks() != 1 {
-		t.Errorf("counters: done=%d inflight=%d pending=%d", ws.Done(), ws.InFlight(), ws.PendingAcks())
-	}
-
-	ack := postJSON(t, srv.URL+"/v1/shard/ack", `{"shard_id":"`+sum.ShardID+`"}`)
-	defer ack.Body.Close()
-	var acked struct {
-		Acked bool `json:"acked"`
-	}
-	if err := json.NewDecoder(ack.Body).Decode(&acked); err != nil {
-		t.Fatal(err)
-	}
-	if !acked.Acked || ws.PendingAcks() != 0 {
-		t.Errorf("ack: %+v, pending=%d", acked, ws.PendingAcks())
-	}
-
-	// Acks are idempotent: unknown shard ids simply report acked=false.
-	again := postJSON(t, srv.URL+"/v1/shard/ack", `{"shard_id":"`+sum.ShardID+`"}`)
-	defer again.Body.Close()
-	acked.Acked = true
-	json.NewDecoder(again.Body).Decode(&acked)
-	if acked.Acked {
-		t.Error("second ack of the same shard reported acked=true")
+	if ws.Done() != 1 || ws.InFlight() != 0 {
+		t.Errorf("counters: done=%d inflight=%d", ws.Done(), ws.InFlight())
 	}
 }
 
@@ -112,10 +91,9 @@ func TestWorkerCountersAndEvalSpan(t *testing.T) {
 	io.Copy(io.Discard, claim.Body)
 	claim.Body.Close()
 
-	if ws.Claimed() != 1 || ws.Done() != 1 || ws.InFlight() != 0 || ws.Streamed() != 1 ||
-		ws.PendingAcks() != 1 || ws.Acked() != 0 {
-		t.Errorf("counters after claim: claimed=%d done=%d in-flight=%d streamed=%d pending=%d acked=%d",
-			ws.Claimed(), ws.Done(), ws.InFlight(), ws.Streamed(), ws.PendingAcks(), ws.Acked())
+	if ws.Claimed() != 1 || ws.Done() != 1 || ws.InFlight() != 0 || ws.Streamed() != 1 {
+		t.Errorf("counters after claim: claimed=%d done=%d in-flight=%d streamed=%d",
+			ws.Claimed(), ws.Done(), ws.InFlight(), ws.Streamed())
 	}
 	if ws.Rate() <= 0 {
 		t.Errorf("Rate() = %v, want > 0 after a completed shard", ws.Rate())
@@ -125,12 +103,6 @@ func TestWorkerCountersAndEvalSpan(t *testing.T) {
 	if len(evals) != 1 || evals[0].Attrs["shard"] != id ||
 		evals[0].Attrs["status"] != "done" || evals[0].Attrs["streamed"] != "1" {
 		t.Errorf("finished shard's eval span: %+v", evals)
-	}
-
-	ack := postJSON(t, srv.URL+"/v1/shard/ack", `{"shard_id":"`+id+`"}`)
-	ack.Body.Close()
-	if ws.Acked() != 1 || ws.PendingAcks() != 0 {
-		t.Errorf("counters after ack: acked=%d pending=%d", ws.Acked(), ws.PendingAcks())
 	}
 }
 
@@ -148,16 +120,6 @@ func TestWorkerShardRejectsBadClaims(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
-	}
-}
-
-func TestWorkerPendingAckTableBounded(t *testing.T) {
-	ws := NewWorkerServer(nil)
-	for i := 0; i < maxPendingShards+10; i++ {
-		ws.recordPending(ShardID([]string{string(rune('a' + i%26)), string(rune(i))}))
-	}
-	if n := ws.PendingAcks(); n > maxPendingShards {
-		t.Errorf("pending table grew to %d, cap %d", n, maxPendingShards)
 	}
 }
 

@@ -417,8 +417,9 @@ func TestClusterRunnerProbesStaticWorkersOnceAndKeepsShardSizes(t *testing.T) {
 	// A job runner keeps one worker pool. Its first job probes both
 	// static workers and learns their rates from cold shards of two;
 	// every later job of six fresh cells probes neither and goes out as
-	// one claim sized from those rates.
-	var probes, claims atomic.Int64
+	// one claim sized from those rates. The claim is the job's only
+	// request: nothing follows the merged stream.
+	var probes, claims, requests atomic.Int64
 	serve := func() string {
 		ws := cluster.NewWorkerServer(cluster.LocalRunner(sweep.Options{}))
 		mux := http.NewServeMux()
@@ -428,6 +429,7 @@ func TestClusterRunnerProbesStaticWorkersOnceAndKeepsShardSizes(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]any{"status": "ok", "backend": "montecarlo"})
 		})
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
 			if r.URL.Path == "/v1/shard" {
 				claims.Add(1)
 			}
@@ -460,19 +462,19 @@ func TestClusterRunnerProbesStaticWorkersOnceAndKeepsShardSizes(t *testing.T) {
 		if i > 0 {
 			specs = jobSpecs(t, uint64(60+i))
 		}
-		p0, c0 := probes.Load(), claims.Load()
+		p0, c0, r0 := probes.Load(), claims.Load(), requests.Load()
 		info, err := m.Submit(SubmitRequest{Tenant: "acme", Specs: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, m, info.ID, StateDone)
-		p, c := probes.Load()-p0, claims.Load()-c0
+		p, c, r := probes.Load()-p0, claims.Load()-c0, requests.Load()-r0
 		switch {
 		case i == 0 && p != int64(len(urls)):
 			t.Errorf("first job sent %d healthz probes, want %d", p, len(urls))
-		case i > 0 && (p != 0 || c != 1):
-			t.Errorf("job %d of %d fresh cells sent %d healthz probes and %d claims, want 0 and 1",
-				i+1, len(specs), p, c)
+		case i > 0 && (c != 1 || r != 1):
+			t.Errorf("job %d of %d fresh cells sent %d requests (%d healthz probes, %d claims), want 1 claim",
+				i+1, len(specs), r, p, c)
 		}
 	}
 }

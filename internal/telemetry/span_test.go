@@ -362,12 +362,12 @@ func TestOpenSpansLiveFromStartToEnd(t *testing.T) {
 	// attributes reach another reader's view.
 	open[1].Attrs["shard"] = "mutated"
 	held := tr.Snapshot(root.Context().TraceID).Open[1]
-	child.End("status", "acked")
+	child.End("status", "merged")
 	if held.Attrs["shard"] != "s-1" || held.Attrs["status"] != "" {
 		t.Errorf("open record changed under its reader: %+v", held.Attrs)
 	}
 	done := tr.Snapshot("").Spans
-	if len(done) != 1 || done[0].Attrs["shard"] != "s-1" || done[0].Attrs["status"] != "acked" {
+	if len(done) != 1 || done[0].Attrs["shard"] != "s-1" || done[0].Attrs["status"] != "merged" {
 		t.Errorf("completed record: %+v", done)
 	}
 	if got := tr.Snapshot("").Open; len(got) != 2 {
