@@ -457,3 +457,21 @@ func BenchmarkStepCPoS32(b *testing.B)         { benchStep(b, protocol.NewCPoS(0
 func BenchmarkStepCPoS32Miners10(b *testing.B) { benchStep(b, protocol.NewCPoS(0.01, 0.1, 32), 10) }
 func BenchmarkStepSLPoS10Miner(b *testing.B)   { benchStep(b, protocol.NewSLPoS(0.01), 10) }
 func BenchmarkStepHybrid(b *testing.B)         { benchStep(b, protocol.NewHybrid(0.01, 0.5), 2) }
+
+// benchRun times protocol.Run over one 400-block two-miner game per op,
+// reset to its initial shares each time as a Monte-Carlo trial starts.
+func benchRun(b *testing.B, p protocol.Protocol) {
+	b.Helper()
+	st := game.MustNew(game.TwoMiner(0.2))
+	r := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Reset()
+		protocol.Run(p, st, r, 400)
+	}
+}
+
+func BenchmarkRunPoW(b *testing.B)    { benchRun(b, protocol.NewPoW(0.01)) }
+func BenchmarkRunMLPoS(b *testing.B)  { benchRun(b, protocol.NewMLPoS(0.01)) }
+func BenchmarkRunSLPoS(b *testing.B)  { benchRun(b, protocol.NewSLPoS(0.01)) }
+func BenchmarkRunCPoS32(b *testing.B) { benchRun(b, protocol.NewCPoS(0.01, 0.1, 32)) }

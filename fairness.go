@@ -373,7 +373,9 @@ func NewGameWithWithholding(initial []float64, k int) (*State, error) {
 // NewRand returns a deterministic generator for the given seed.
 func NewRand(seed uint64) *Rand { return rng.New(seed) }
 
-// Run advances the game n steps under protocol p.
+// Run advances the game n steps under protocol p, bit for bit as n calls
+// of p.Step would. PoW, ML-PoS, SL-PoS and C-PoS play a two-miner game
+// without withholding in one loop with its state in registers.
 func Run(p Protocol, st *State, r *Rand, n int) { protocol.Run(p, st, r, n) }
 
 // MonteCarloContext runs repeated games and returns the per-checkpoint λ

@@ -147,24 +147,27 @@ func (s *State) Credit(i int, reward, stake float64) {
 // reward and stake (or withheld) balances. A balance b credited x takes
 // the closed form b + n·d, with d = (b+x) − b, when that provably equals
 // n additions: b + n·d has b's sign and exponent, d ≥ 0, and
-// 2·|x − d| < ulp(b) (see addN). Otherwise it makes the n additions,
+// 2·|x − d| < ulp(b) (see AddN). Otherwise it makes the n additions,
 // keeping the running sum in a register.
 func (s *State) CreditN(i, n int, reward, stake float64) {
 	if n <= 0 {
 		return
 	}
-	s.Rewards[i], _ = addN(s.Rewards[i], reward, n)
+	s.Rewards[i], _ = AddN(s.Rewards[i], reward, n)
 	switch {
 	case stake == 0: // joins no balance, as in Credit
 	case s.withholdPeriod(i) != 0:
-		s.pending[i], _ = addN(s.pending[i], stake, n)
+		s.pending[i], _ = AddN(s.pending[i], stake, n)
 	default:
-		s.Stakes[i], _ = addN(s.Stakes[i], stake, n)
+		s.Stakes[i], _ = AddN(s.Stakes[i], stake, n)
 	}
 }
 
-// addN returns b after n ≥ 0 additions b += x, and whether it took the
-// closed form b + n·d, with d = (b+x) − b, instead of adding n times.
+// AddN returns b after n additions b += x (none when n ≤ 0), bit for
+// bit, and whether it took the closed form b + n·d, with d = (b+x) − b,
+// instead of adding n times. A loop that keeps a balance in a local
+// credits it through AddN as CreditN credits a State's.
+//
 // It takes the closed form, which is then exact, when:
 //   - b + n·d has b's sign and exponent, so both lie in one binade
 //     [2^e, 2^(e+1)), or both below 2^−1022, where floats are evenly
@@ -178,7 +181,10 @@ func (s *State) CreditN(i, n int, reward, stake float64) {
 //     to even would pick by the parity of the sum, which alternates.
 //     For a negative b this ulp is negative, for an infinite b NaN, so
 //     both fail, as a NaN input fails some comparison.
-func addN(b, x float64, n int) (float64, bool) {
+func AddN(b, x float64, n int) (float64, bool) {
+	if n <= 0 {
+		return b, false
+	}
 	d := (b + x) - b
 	r := b + float64(n)*d
 	bits := math.Float64bits(b)
@@ -192,12 +198,20 @@ func addN(b, x float64, n int) (float64, bool) {
 	return b, false
 }
 
+// Withholds reports whether the game may stake a reward later than it
+// credits it: WithWithholding with k > 0, or any WithMinerWithholding.
+// A game that does not withhold stakes every credit at once, and its
+// EndBlock only counts the block.
+func (s *State) Withholds() bool {
+	return s.withholdEvery > 0 || s.minerWithhold != nil
+}
+
 // EndBlock marks one block/epoch complete and releases withheld stake
 // for every miner whose withholding period divides the block count
 // (miners withholding forever never release).
 func (s *State) EndBlock() {
 	s.Blocks++
-	if s.withholdEvery <= 0 && s.minerWithhold == nil {
+	if !s.Withholds() {
 		return
 	}
 	for i, p := range s.pending {

@@ -104,15 +104,15 @@ func TestCreditNMatchesRepeatedCredit(t *testing.T) {
 		xs := []float64{0.01 / 32, 0.01, 0.37, 1e-17, 0.4 * u, 0.5 * u, 1.5 * u, 2.5 * u,
 			u, 3 * u, 1.4 * u, -1.4 * u, -0.6 * u, -0.3 * u, -0.01, 0, math.Inf(1), math.NaN()}
 		for _, x := range xs {
-			for _, n := range []int{0, 1, 2, 3, 7, 31, 32, 100, 1000} {
+			for _, n := range []int{-3, 0, 1, 2, 3, 7, 31, 32, 100, 1000} {
 				cases++
-				got, isClosed := addN(b, x, n)
+				got, isClosed := AddN(b, x, n)
 				want := b
 				for k := 0; k < n; k++ {
 					want += x
 				}
 				if !same(got, want) {
-					t.Errorf("balance %v (%#x), credit %v ×%d: addN gave %v (closed form %v), %d additions %v",
+					t.Errorf("balance %v (%#x), credit %v ×%d: AddN gave %v (closed form %v), %d additions %v",
 						b, math.Float64bits(b), x, n, got, isClosed, n, want)
 				}
 				if isClosed {

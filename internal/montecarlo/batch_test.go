@@ -197,3 +197,54 @@ func TestStopRuleValidation(t *testing.T) {
 		t.Errorf("negative batch: err = %v, want ErrConfig", err)
 	}
 }
+
+// stepOnly exposes only a protocol's Name and Step, so protocol.Run
+// steps it block by block instead of running the protocol's own loop.
+type stepOnly struct{ p protocol.Protocol }
+
+func (s stepOnly) Name() string                     { return s.p.Name() }
+func (s stepOnly) Step(st *game.State, r *rng.Rand) { s.p.Step(st, r) }
+
+// TestSegmentsMatchBlockByBlock runs each protocol with a loop of its own
+// over checkpoints around ctxCheckInterval, where runBatch cuts its
+// segments, and again block by block through stepOnly: every λ must
+// match bit for bit, the block counter must advance by the same count,
+// and both must match trials stepped one block at a time outside the
+// harness.
+func TestSegmentsMatchBlockByBlock(t *testing.T) {
+	cps := []int{1, ctxCheckInterval - 1, ctxCheckInterval, ctxCheckInterval + 1, 9000}
+	cfg := Config{Trials: 7, Batch: 3, Blocks: 9000, Checkpoints: cps, Seed: 11}
+	initial := game.TwoMiner(0.3)
+	for _, p := range []protocol.Protocol{
+		protocol.NewPoW(0.01), protocol.NewMLPoS(0.01), protocol.NewSLPoS(0.01),
+		protocol.NewCPoS(0.01, 0.1, 32),
+	} {
+		run := func(p protocol.Protocol) (*Result, int64) {
+			before := mcBlocks.Value()
+			res, err := Run(p, initial, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			return res, mcBlocks.Value() - before
+		}
+		got, gotBlocks := run(p)
+		want, wantBlocks := run(stepOnly{p})
+		if gotBlocks != wantBlocks || gotBlocks != int64(cfg.Trials*cfg.Blocks) {
+			t.Errorf("%s: blocks counter advanced %d, block by block %d, want %d",
+				p.Name(), gotBlocks, wantBlocks, cfg.Trials*cfg.Blocks)
+		}
+		for tr := 0; tr < cfg.Trials; tr++ {
+			st, r := game.MustNew(initial), rng.Stream(cfg.Seed, tr)
+			for c, cp := range cps {
+				for st.Blocks < cp {
+					p.Step(st, r)
+				}
+				ref := math.Float64bits(st.Lambda(cfg.Miner))
+				if g, w := got.Lambda[c][tr], want.Lambda[c][tr]; math.Float64bits(g) != ref || math.Float64bits(w) != ref {
+					t.Fatalf("%s: checkpoint %d, trial %d: λ %v, block by block %v, stepped outside the harness %v",
+						p.Name(), cp, tr, g, w, st.Lambda(cfg.Miner))
+				}
+			}
+		}
+	}
+}

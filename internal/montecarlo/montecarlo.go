@@ -65,9 +65,11 @@ type Config struct {
 	OnTrialDone func(trial int, finalLambda float64)
 	// Batch is the number of trials the batched inner loop advances
 	// together (structure-of-arrays states, one RNG substream per
-	// trial); 0 picks DefaultBatchSize. Batching never changes results:
-	// trial i is bit-identical for any batch size and worker count. It
-	// is also the granularity of early-stopping looks.
+	// trial); 0 picks DefaultBatchSize. Between two checkpoints the loop
+	// advances each trial of the batch in turn, in one protocol.Run.
+	// Batching never changes results: trial i is bit-identical for any
+	// batch size and worker count. It is also the granularity of
+	// early-stopping looks.
 	Batch int
 	// Stop, when non-nil, enables adaptive early stopping: the run halts
 	// further trials as soon as the unfair-probability verdict is
@@ -161,8 +163,9 @@ func Run(p protocol.Protocol, initial []float64, cfg Config) (*Result, error) {
 }
 
 // ctxCheckInterval is how many blocks a trial advances between context
-// checks: frequent enough that cancellation lands mid-trial within
-// microseconds, rare enough to stay invisible in the step loop's profile.
+// checks, at most, in one protocol.Run: frequent enough that cancellation
+// lands mid-trial within microseconds, rare enough to stay invisible in
+// the step loop's profile.
 const ctxCheckInterval = 4096
 
 // RunContext executes the Monte-Carlo experiment for one protocol,

@@ -107,36 +107,40 @@ func newArena(n int, initial []float64, opts []game.Option) (*arena, error) {
 // recording λ per checkpoint into res. Trial start+t uses
 // rng.Stream(seed, start+t) semantics exactly, so results are
 // bit-identical to the historical one-trial-at-a-time loop for any
-// batch size. The returned step count is the number of protocol steps
-// actually executed — reported even alongside an error, so block
-// telemetry reflects real work.
+// batch size. Each trial moves from checkpoint to checkpoint in one
+// protocol.Run, which plays a two-miner game of the protocols that have
+// their own loop with its state in registers; segments end at multiples
+// of ctxCheckInterval too, where the context is checked. The returned
+// step count is the number of protocol steps actually executed —
+// reported even alongside an error, so block telemetry reflects real
+// work.
 func runBatch(ctx context.Context, p protocol.Protocol, cfg *Config, cps []int, res *Result, start, end int, ar *arena) (steps int64, err error) {
 	n := end - start
 	for t := 0; t < n; t++ {
 		ar.games.State(t).Reset()
 		ar.rngs[t].SeedStream(cfg.Seed, start+t)
 	}
-	next := 0
-	lastCp := cps[len(cps)-1]
-	for b := 1; b <= lastCp; b++ {
-		if b%ctxCheckInterval == 0 && ctx.Err() != nil {
-			return steps, ctx.Err()
+	done := 0 // blocks every trial of the batch has played
+	for c, cp := range cps {
+		for done < cp {
+			if done > 0 && done%ctxCheckInterval == 0 && ctx.Err() != nil {
+				return steps, ctx.Err()
+			}
+			seg := min(cp, (done/ctxCheckInterval+1)*ctxCheckInterval) - done
+			for t := 0; t < n; t++ {
+				protocol.Run(p, ar.games.State(t), &ar.rngs[t], seg)
+			}
+			steps += int64(n * seg)
+			done += seg
 		}
 		for t := 0; t < n; t++ {
-			p.Step(ar.games.State(t), &ar.rngs[t])
-		}
-		steps += int64(n)
-		if b == cps[next] {
-			for t := 0; t < n; t++ {
-				st := ar.games.State(t)
-				if cfg.CheckInvariants {
-					if ierr := st.CheckInvariants(); ierr != nil {
-						return steps, fmt.Errorf("montecarlo: trial %d block %d: %w", start+t, b, ierr)
-					}
+			st := ar.games.State(t)
+			if cfg.CheckInvariants {
+				if ierr := st.CheckInvariants(); ierr != nil {
+					return steps, fmt.Errorf("montecarlo: trial %d block %d: %w", start+t, cp, ierr)
 				}
-				res.Lambda[next][start+t] = st.Lambda(cfg.Miner)
 			}
-			next++
+			res.Lambda[c][start+t] = st.Lambda(cfg.Miner)
 		}
 	}
 	return steps, nil

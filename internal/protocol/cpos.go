@@ -85,3 +85,52 @@ func (p CPoS) Step(st *game.State, r *rng.Rand) {
 	}
 	st.EndBlock()
 }
+
+// advance plays a two-miner game's epochs with both stakes, both rewards
+// and the generator in locals. Each epoch is Step's: the P shard draws
+// counted by rng.Gen.Ones (miner 1's wins, when her stake is positive),
+// each miner's shard rewards added by game.AddN as CreditN adds them,
+// then her inflation credit. An epoch whose stakes Cumulate would reject
+// (inflation can reach NaN from infinite stakes) ends the loop, and Step
+// plays it, panicking with Cumulate's message. A positive shard reward is
+// staked, as Credit stakes any non-zero amount; an inflation amount of 0
+// adds nothing to the positive stake it is credited to.
+func (p CPoS) advance(st *game.State, r *rng.Rand, n int) {
+	perShard := p.W / float64(p.P)
+	if n <= 0 || !twoMiners(st) || p.P < 1 || !(perShard > 0) {
+		steps(p, st, r, n)
+		return
+	}
+	s0, s1 := st.Stakes[0], st.Stakes[1]
+	w0, w1 := st.Rewards[0], st.Rewards[1]
+	g := r.Gen()
+	done := 0
+	for ; done < n && drawable(s0, s1); done++ {
+		total := s0 + s1
+		var ones int
+		g, ones = g.Ones(p.P, s0, total)
+		if !(s1 > 0) {
+			ones = 0
+		}
+		e0, e1 := s0, s1 // epoch-start stakes
+		w0, _ = game.AddN(w0, perShard, p.P-ones)
+		s0, _ = game.AddN(s0, perShard, p.P-ones)
+		w1, _ = game.AddN(w1, perShard, ones)
+		s1, _ = game.AddN(s1, perShard, ones)
+		if p.V > 0 && e0 > 0 {
+			amt := p.V * e0 / total
+			w0 += amt
+			s0 += amt
+		}
+		if p.V > 0 && e1 > 0 {
+			amt := p.V * e1 / total
+			w1 += amt
+			s1 += amt
+		}
+	}
+	r.SetGen(g)
+	st.Stakes[0], st.Stakes[1] = s0, s1
+	st.Rewards[0], st.Rewards[1] = w0, w1
+	st.Blocks += done
+	steps(p, st, r, n-done)
+}

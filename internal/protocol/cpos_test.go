@@ -56,29 +56,40 @@ func sameBits(got, want *game.State) error {
 	return nil
 }
 
-func TestCPoSStepMatchesReferenceBitForBit(t *testing.T) {
-	withholding := []struct {
-		name string
-		opts []game.Option
-	}{
-		{"none", nil},
-		{"all-every-5", []game.Option{game.WithWithholding(5)}},
-		{"miner0-forever", []game.Option{game.WithMinerWithholding(0, 0)}},
-		{"miner1-every-3", []game.Option{game.WithMinerWithholding(1, 3)}},
+// withholdings are the withholding set-ups the bit-for-bit tests play
+// every game under: none, all miners', and one miner's, forever or
+// periodically.
+var withholdings = []struct {
+	name string
+	opts []game.Option
+}{
+	{"none", nil},
+	{"all-every-5", []game.Option{game.WithWithholding(5)}},
+	{"miner0-forever", []game.Option{game.WithMinerWithholding(0, 0)}},
+	{"miner1-every-3", []game.Option{game.WithMinerWithholding(1, 3)}},
+}
+
+// randomShares returns m initial shares drawn from seed, each at least
+// 0.05.
+func randomShares(m int, seed uint64) []float64 {
+	initial := make([]float64, m)
+	shares := rng.New(seed)
+	for i := range initial {
+		initial[i] = 0.05 + shares.Float64()
 	}
+	return initial
+}
+
+func TestCPoSStepMatchesReferenceBitForBit(t *testing.T) {
 	// m = 17 is past the kernel's stack scratch, so it runs the heap
 	// fallback.
 	for _, m := range []int{2, 3, 5, 10, 17} {
 		for _, shards := range []int{1, 31, 32, 65} {
 			for _, v := range []float64{0, 0.1} {
-				for k, wh := range withholding {
+				for k, wh := range withholdings {
 					name := fmt.Sprintf("m%d/P%d/V%v/%s", m, shards, v, wh.name)
 					seed := uint64(1000*m + 10*shards + k)
-					initial := make([]float64, m)
-					shares := rng.New(seed)
-					for i := range initial {
-						initial[i] = 0.05 + shares.Float64()
-					}
+					initial := randomShares(m, seed)
 					p := NewCPoS(0.02, v, shards)
 					got, want := game.MustNew(initial, wh.opts...), game.MustNew(initial, wh.opts...)
 					rGot, rWant := rng.New(seed), rng.New(seed)

@@ -41,6 +41,40 @@ func (p MLPoS) Step(st *game.State, r *rng.Rand) {
 	st.EndBlock()
 }
 
+// advance plays a two-miner game's blocks with both stakes and the
+// generator in locals: one inlined draw and one addition per block.
+//
+// Each block is Categorical over the two stakes: with u = Float64()·
+// (s0 + s1), miner 1 wins when !(u < s0) and s1 > 0 (see rng.Gen.Ones).
+// Categorical's checks (both stakes ≥ 0, a positive total) are made once:
+// adding a positive W to one stake keeps them true. Each miner's reward
+// only ever gains W, so it is credited once at the end, by game.AddN,
+// from her count of wins.
+func (p MLPoS) advance(st *game.State, r *rng.Rand, n int) {
+	if n <= 0 || !twoMiners(st) || !(p.W > 0) || !drawable(st.Stakes[0], st.Stakes[1]) {
+		steps(p, st, r, n)
+		return
+	}
+	s0, s1 := st.Stakes[0], st.Stakes[1]
+	g := r.Gen()
+	ones := 0
+	for k := n; k > 0; k-- {
+		var u float64
+		g, u = g.Float64()
+		if !(u*(s0+s1) < s0) && s1 > 0 {
+			s1 += p.W
+			ones++
+		} else {
+			s0 += p.W
+		}
+	}
+	r.SetGen(g)
+	st.Stakes[0], st.Stakes[1] = s0, s1
+	st.Rewards[0], _ = game.AddN(st.Rewards[0], p.W, n-ones)
+	st.Rewards[1], _ = game.AddN(st.Rewards[1], p.W, ones)
+	st.Blocks += n
+}
+
 // MLPoSKernel is the exact multi-lottery mechanism: every miner checks one
 // kernel per timestamp with success probability PerStakeProb × stake, and
 // the earliest success (ties split uniformly) proposes the block.

@@ -36,3 +36,22 @@ func (p PoW) Step(st *game.State, r *rng.Rand) {
 	st.Credit(winner, p.W, 0)
 	st.EndBlock()
 }
+
+// advance plays a two-miner game's n blocks as one Tally of n draws and
+// one CreditN per miner. Hash power never moves, so the n draws are n
+// Categoricals over the same weights, which Cumulate checks once with
+// Categorical's checks and panics; and each miner's wins add W to her
+// reward alone, which CreditN does bit for bit.
+func (p PoW) advance(st *game.State, r *rng.Rand, n int) {
+	if n <= 0 || !twoMiners(st) {
+		steps(p, st, r, n)
+		return
+	}
+	var sums [2]float64
+	var wins [2]int
+	c := rng.Cumulate(sums[:], st.Stakes)
+	r.Tally(&c, n, wins[:])
+	st.CreditN(0, wins[0], p.W, 0)
+	st.CreditN(1, wins[1], p.W, 0)
+	st.Blocks += n
+}

@@ -119,6 +119,20 @@ func TestMLPoSKernelSmallProbMatchesProportional(t *testing.T) {
 	}
 }
 
+// TestMLPoSKernelTinyStakeNeverWins: a miner whose stake-scaled kernel
+// probability is 1e-19 draws a first-success timestamp near 10^19, so
+// against a miner with probability 1e-3 she should win no block. While
+// Geometric's count overflowed int64, 40% of her timestamps came out
+// negative, so she won whenever she drew one.
+func TestMLPoSKernelTinyStakeNeverWins(t *testing.T) {
+	p := NewMLPoSKernel(0.01, 1e-3)
+	st := game.MustNew([]float64{1e-16, 1})
+	Run(p, st, rng.New(1), 1000)
+	if st.Rewards[0] != 0 {
+		t.Errorf("a 1e-16 share won %v of 1000 blocks' rewards, want none", st.Rewards[0])
+	}
+}
+
 func TestSLPoSTwoMinerWinProb(t *testing.T) {
 	// Equation (1): Pr[A wins] ≈ a/(2b) for a ≤ b. a=0.2 ⇒ 0.125.
 	got := winFreq(t, NewSLPoS(0.01), game.TwoMiner(0.2), 50000, 8)
@@ -398,6 +412,9 @@ func TestStepsDoNotAllocate(t *testing.T) {
 			r := rng.New(28)
 			if n := testing.AllocsPerRun(200, func() { p.Step(st, r) }); n != 0 {
 				t.Errorf("%s at m=%d: %v allocations per step, want 0", p.Name(), m, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { Run(p, st, r, 400) }); n != 0 {
+				t.Errorf("%s at m=%d: %v allocations per 400-block Run, want 0", p.Name(), m, n)
 			}
 		}
 	}

@@ -58,6 +58,52 @@ func (p SLPoS) Step(st *game.State, r *rng.Rand) {
 	st.EndBlock()
 }
 
+// advance plays a two-miner game's blocks with both stakes and the
+// generator in locals, transcribing Step: a miner whose stake is not
+// ≤ 0 (NaN included) draws her ticket, and the earlier finite ticket
+// wins, miner 0 on a tie; W being positive, Credit adds it to the
+// winner's stake. Each miner's reward only ever gains W, so it is
+// credited once at the end, by game.AddN, from her count of wins.
+func (p SLPoS) advance(st *game.State, r *rng.Rand, n int) {
+	if n <= 0 || !twoMiners(st) || !(p.W > 0) {
+		steps(p, st, r, n)
+		return
+	}
+	s0, s1 := st.Stakes[0], st.Stakes[1]
+	g := r.Gen()
+	wins0, wins1 := 0, 0
+	for k := n; k > 0; k-- {
+		winner := -1
+		best := math.Inf(1)
+		var u float64
+		if !(s0 <= 0) {
+			g, u = g.Float64()
+			if t := u / s0; t < best {
+				best, winner = t, 0
+			}
+		}
+		if !(s1 <= 0) {
+			g, u = g.Float64()
+			if t := u / s1; t < best {
+				winner = 1
+			}
+		}
+		switch winner {
+		case 0:
+			s0 += p.W
+			wins0++
+		case 1:
+			s1 += p.W
+			wins1++
+		}
+	}
+	r.SetGen(g)
+	st.Stakes[0], st.Stakes[1] = s0, s1
+	st.Rewards[0], _ = game.AddN(st.Rewards[0], p.W, wins0)
+	st.Rewards[1], _ = game.AddN(st.Rewards[1], p.W, wins1)
+	st.Blocks += n
+}
+
 // FSLPoS is the paper's fairness treatment for SL-PoS (Section 6.2):
 // replace the linear time function with the inverse-transform
 // time_i = −ln(1 − Hash_i/2^256)/stake_i, turning the lottery into an

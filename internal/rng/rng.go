@@ -14,33 +14,86 @@ import (
 	"math/bits"
 )
 
-// Rand is a deterministic pseudo-random number generator.
+// Rand is a deterministic pseudo-random number generator: a Gen behind a
+// pointer.
 //
 // It is NOT safe for concurrent use; give each goroutine its own Rand
 // (see Stream).
 type Rand struct {
-	s xoshiro
+	s Gen
 }
 
-// xoshiro is the xoshiro256++ state. It is four named words rather than
-// a [4]uint64 because Go keeps a local struct of up to four scalars in
-// registers, and an array on the stack.
-type xoshiro struct{ s0, s1, s2, s3 uint64 }
+// Gen is the generator's xoshiro256++ state as a value. Each draw takes
+// the state and returns the advanced state with its result, so a loop
+// over a Gen held in a local keeps all four words in registers, where
+// draws on a *Rand read and write them through memory. A Gen taken from
+// a Rand with Rand.Gen and put back with SetGen continues the Rand's
+// stream exactly: the draws in between are the ones the Rand would have
+// made.
+//
+// It is four named words rather than a [4]uint64 because Go keeps a
+// local struct of up to four scalars in registers, and an array on the
+// stack.
+type Gen struct{ s0, s1, s2, s3 uint64 }
+
+// Gen returns r's state.
+func (r *Rand) Gen() Gen { return r.s }
+
+// SetGen sets r's state to g, typically a state returned by Gen and
+// advanced by draws on it.
+func (r *Rand) SetGen(g Gen) { r.s = g }
 
 // next returns the state after one xoshiro256++ step and the step's
-// output. It is the only copy of the update; Uint64 and Tally share it.
-// It is a value method so that a caller looping over a local copy of the
-// state keeps all four words in registers.
-func (x xoshiro) next() (xoshiro, uint64) {
-	out := bits.RotateLeft64(x.s0+x.s3, 23) + x.s0
-	t := x.s1 << 17
-	x.s2 ^= x.s0
-	x.s3 ^= x.s1
-	x.s1 ^= x.s2
-	x.s0 ^= x.s3
-	x.s2 ^= t
-	x.s3 = bits.RotateLeft64(x.s3, 45)
-	return x, out
+// output. It is the only copy of the update; every draw of Rand and Gen
+// makes it.
+func (g Gen) next() (Gen, uint64) {
+	out := bits.RotateLeft64(g.s0+g.s3, 23) + g.s0
+	t := g.s1 << 17
+	g.s2 ^= g.s0
+	g.s3 ^= g.s1
+	g.s1 ^= g.s2
+	g.s0 ^= g.s3
+	g.s2 ^= t
+	g.s3 = bits.RotateLeft64(g.s3, 45)
+	return g, out
+}
+
+// Float64 returns the advanced state and a uniform float64 in [0, 1),
+// the draw Rand.Float64 makes.
+func (g Gen) Float64() (Gen, float64) {
+	g, out := g.next()
+	// Use the top 53 bits for a uniformly spaced mantissa.
+	return g, float64(out>>11) / (1 << 53)
+}
+
+// Ones makes n categorical draws from two weights, the first h and both
+// together total, and returns the advanced state and the number of
+// draws whose u = Float64()·total has !(u < h). Those are exactly the
+// draws for which Categorical([h, total−h]) returns index 1 when the
+// second weight is positive, fallbacks at or past the total (NaN
+// included) among them. When the second weight is zero, Categorical
+// returns index 0 for every draw. The count is kept in a register with
+// no data-dependent branch; Tally and the protocols' two-miner loops
+// make their two-weight draws through it.
+func (g Gen) Ones(n int, h, total float64) (Gen, int) {
+	if n <= 0 {
+		return g, 0
+	}
+	// Float64's conversion is written out and the draws below h are
+	// counted: drawn through Float64 and counting !(u < h), this loop
+	// ran 6–9% slower (BenchmarkTally, 2-vCPU Xeon, go1.24).
+	below := 0
+	for k := n; k > 0; k-- {
+		var out uint64
+		g, out = g.next()
+		u := float64(out>>11) / (1 << 53) * total // Float64() * total
+		b := 0
+		if u < h { // false for NaN u, which Ones counts as the fallback
+			b = 1
+		}
+		below += b
+	}
+	return g, n - below
 }
 
 // New returns a generator seeded from the given seed. Two generators built
@@ -65,10 +118,10 @@ func (r *Rand) Seed(seed uint64) {
 		z ^= z >> 31
 		w[i] = z
 	}
-	r.s = xoshiro{w[0], w[1], w[2], w[3]}
+	r.s = Gen{w[0], w[1], w[2], w[3]}
 	// A state of all zeros is the one forbidden state of xoshiro; the
 	// SplitMix64 outputs cannot all be zero for any seed, but guard anyway.
-	if r.s == (xoshiro{}) {
+	if r.s == (Gen{}) {
 		r.s.s0 = 0x9e3779b97f4a7c15
 	}
 }
@@ -102,7 +155,8 @@ func (r *Rand) SeedStream(seed uint64, i int) {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
-	// Use the top 53 bits for a uniformly spaced mantissa.
+	// Gen.Float64's conversion, written out: through a call to it,
+	// Float64 would no longer inline.
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
@@ -159,7 +213,9 @@ func (r *Rand) Exponential(rate float64) float64 {
 // Geometric returns the number of Bernoulli(p) trials up to and including
 // the first success (support {1, 2, ...}). For the tiny per-timestamp
 // success probabilities of ML-PoS kernels, drawing by inversion is exact
-// and O(1).
+// and O(1). A count of 2^63 or more, which p below about 1e-19 draws
+// often, saturates at math.MaxInt64: converting it to int64 would be
+// implementation-defined (math.MinInt64 on amd64).
 func (r *Rand) Geometric(p float64) int64 {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric needs p in (0, 1]")
@@ -171,6 +227,9 @@ func (r *Rand) Geometric(p float64) int64 {
 	k := math.Ceil(math.Log(u) / math.Log1p(-p))
 	if k < 1 {
 		k = 1
+	}
+	if k >= 1<<63 {
+		return math.MaxInt64
 	}
 	return int64(k)
 }
@@ -279,10 +338,9 @@ func Cumulate(buf, weights []float64) Cumulative {
 // Each draw's index is Categorical's count of the running sums before the
 // last that are ≤ u, or the last positive weight when !(u < total), and
 // Tally takes it without a data-dependent branch. For two weights it
-// counts only the index-1 draws, in a register, and adds to wins once:
-// a draw has index 1 exactly when !(u < weights[0]), fallbacks included,
-// unless weights[1] is zero, when weights[0] is the total and every such
-// draw is a fallback to index 0.
+// counts the index-1 draws with Gen.Ones and adds to wins once; when the
+// second weight is zero, the first is the total and every draw Ones
+// counts is a fallback to index 0.
 func (r *Rand) Tally(c *Cumulative, n int, wins []int) {
 	r.s = tally(r.s, c, n, wins)
 }
@@ -291,20 +349,10 @@ func (r *Rand) Tally(c *Cumulative, n int, wins []int) {
 // the loop re-reads the generator through r on every comparison; as a
 // function the compiler keeps the state, u and the count in registers
 // from the first draw to the last.
-func tally(x xoshiro, c *Cumulative, n int, wins []int) xoshiro {
+func tally(x Gen, c *Cumulative, n int, wins []int) Gen {
 	head, total, last := c.head, c.total, c.last
 	if len(head) == 1 && n > 0 {
-		h, ones := head[0], 0
-		for k := n; k > 0; k-- {
-			var out uint64
-			x, out = x.next()
-			u := float64(out>>11) / (1 << 53) * total // Float64() * total
-			b := 0
-			if !(u < h) { // true for NaN u, as the fallback needs
-				b = 1
-			}
-			ones += b
-		}
+		x, ones := x.Ones(n, head[0], total)
 		if last == 0 {
 			ones = 0
 		}

@@ -186,6 +186,21 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// TestGeometricTinyPStaysInSupport covers draws whose count reaches
+// 2^63: converted to int64 such a float is implementation-defined
+// (math.MinInt64 on amd64, a count below 1), so Geometric saturates it
+// at math.MaxInt64.
+func TestGeometricTinyPStaysInSupport(t *testing.T) {
+	for _, p := range []float64{1e-19, 1e-300, 5e-324} {
+		r := New(1)
+		for i := 0; i < 1000; i++ {
+			if k := r.Geometric(p); k < 1 {
+				t.Fatalf("Geometric(%v) draw %d = %d, below the support {1, 2, …}", p, i, k)
+			}
+		}
+	}
+}
+
 func TestGeometricPOne(t *testing.T) {
 	r := New(31)
 	for i := 0; i < 10; i++ {
@@ -306,7 +321,7 @@ func TestTallyMatchesCategorical(t *testing.T) {
 	}
 	// zeroFirst's first output is 0, so that Float64 is 0 and u = 0·total,
 	// NaN for an infinite total: a draw no seed here reaches.
-	zeroFirst := func() *Rand { return &Rand{s: xoshiro{0, 1, 2, 0}} }
+	zeroFirst := func() *Rand { return &Rand{s: Gen{0, 1, 2, 0}} }
 	buf := make([]float64, 17)
 	for k, w := range fixed {
 		seed := uint64(k + 1)
